@@ -7,6 +7,7 @@ pairing and metric routines in the sibling modules.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, Union
@@ -280,11 +281,19 @@ def _extract_segment(samples: Sequence[Sample], eps: float) -> MorseSet:
         raise EmptyInputError("segment has no samples")
     if len(samples) < 2:
         raise EmptyInputError("segment needs at least two samples")
-    for i in range(len(samples) - 1):
-        if not samples[i][0] < samples[i + 1][0]:
+    # strictly increasing positions between finite ends are finite
+    for i in (0, len(samples) - 1):
+        if not math.isfinite(samples[i][0]):
+            raise ValueError(f"sample {i} is not finite: {samples[i]}")
+    prev = -math.inf
+    for i, (x, y) in enumerate(samples):
+        if not math.isfinite(y):
+            raise ValueError(f"sample {i} is not finite: {(x, y)}")
+        if not prev < x:
             raise NonMonotoneAbscissaError(
-                f"positions not strictly increasing at index {i}: "
-                f"{samples[i][0]} -> {samples[i + 1][0]}")
+                f"positions not strictly increasing at index {i - 1}: "
+                f"{prev} -> {x}")
+        prev = x
 
     reps = _collapse_plateaus(samples, eps)
     if len(reps) < 2:

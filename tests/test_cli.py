@@ -54,6 +54,13 @@ class TestExtract:
         code, _, _ = run(capsys, "extract")
         assert code == 2
 
+    def test_nan_sample_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("0,0\n1,nan\n2,1\n3,0\n")
+        code, out, err = run(capsys, "extract", str(bad))
+        assert code == 2 and out == ""
+        assert "morsepeak: sample 1 is not finite" in err
+
 
 class TestTransform:
     def test_pt_json(self, capsys, e1_csv):
@@ -144,6 +151,14 @@ class TestDistance:
         assert code == 0 and float(out) == pytest.approx(2.0)
         code, out, _ = run(capsys, "distance", str(fa), str(fb), "--p", "inf")
         assert float(out) == pytest.approx(2.0)
+
+    def test_morse_large_p(self, capsys, tmp_path):
+        fa, fb = tmp_path / "a.csv", tmp_path / "b.csv"
+        fa.write_text("0,0\n1,5\n2,0\n")
+        fb.write_text("0,0\n1,10\n2,0\n")
+        code, out, err = run(capsys, "distance", str(fa), str(fb),
+                             "--kind", "morse", "--p", "1000")
+        assert code == 0 and err == "" and float(out) == 5.0
 
     def test_kind_mismatch_exit_4(self, capsys, e1_csv, tmp_path):
         pt, rpt = tmp_path / "pt.json", tmp_path / "rpt.json"

@@ -60,6 +60,15 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_critical_points(E1_SAMPLES, plateau_epsilon=-1)
 
+    @pytest.mark.parametrize("index, sample", [
+        (1, (1, float("nan"))), (3, (3, float("nan"))), (2, (2, float("inf"))),
+        (0, (float("-inf"), 0)), (3, (float("inf"), 0))])
+    def test_non_finite_sample_rejected(self, index, sample):
+        samples = [(0, 0), (1, 2), (2, 1), (3, 0)]
+        samples[index] = sample
+        with pytest.raises(ValueError, match=f"sample {index} is not finite"):
+            extract_critical_points(samples)
+
     def test_multi_segment(self):
         series = SampledSeries.multi([[(0, 0), (1, 1)], [(5, 2), (6, 0)]])
         sets = extract_critical_points(series)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from morsepeak import (DIAGONAL, PAD_ORIGIN, GenParams, KindMismatchError,
-                       MorseSet, PTSet, UnmatchableInfinityError,
+                       MorseSet, PDSet, PTSet, RPTSet, UnmatchableInfinityError,
                        morse_distance, perturb, persistence_transformation,
                        random_morse_set, reduced_persistence_transformation,
                        solve_assignment, sup_dist, to_persistence_diagram,
                        wasserstein)
-from morsepeak.metrics import (_pd_points, _pt_points, _rpt_points,
-                               InfeasibleError)
+from morsepeak.metrics import (_cost_matrix, _pd_points, _pt_points,
+                               _rpt_points, InfeasibleError)
 from oracles import (brute_force_assignment, brute_force_wasserstein,
                      morse_distance_direct)
 
@@ -93,6 +93,90 @@ class TestMorseDistance:
             morse_distance(e1, e1, 0.5)
 
 
+class TestScaleSafety:
+    """Large p must not overflow and tiny distances must not underflow."""
+
+    # one peak raised from 5 to 10: every distance below is 5
+    K = MorseSet.build([(1, 5)], [(0, 0), (2, 0)])
+    L = MorseSet.build([(1, 10)], [(0, 0), (2, 0)])
+
+    @staticmethod
+    def raised(ms: MorseSet, peak: tuple, by: float) -> MorseSet:
+        return MorseSet.build([(p.x, p.y + by) if p.coords() == peak
+                               else p.coords() for p in ms.maxima],
+                              [p.coords() for p in ms.minima], ms.domain)
+
+    def test_morse_distance_extremes(self, lone_peak):
+        assert morse_distance(self.K, self.L, 1000) == \
+            pytest.approx(5.0, rel=1e-9)
+        tiny = self.raised(lone_peak, (1, 4), 1e-6)
+        assert morse_distance(lone_peak, tiny, 60) == \
+            pytest.approx(1e-6, rel=1e-9)
+
+    @pytest.mark.parametrize("slack", [DIAGONAL, PAD_ORIGIN])
+    def test_wasserstein_extremes(self, e1, lone_peak, slack):
+        pd = lambda m: to_persistence_diagram(persistence_transformation(m))
+        for make in (persistence_transformation, pd):
+            assert wasserstein(make(self.K), make(self.L), 1000, slack) == \
+                pytest.approx(5.0, rel=1e-9)
+        # the 1e-6 move is the whole distance; in e1 much larger costs
+        # share the matrix with it
+        for ms, peak in ((lone_peak, (1, 4)), (e1, (1, 3))):
+            tiny = self.raised(ms, peak, 1e-6)
+            for make in (persistence_transformation, pd):
+                assert wasserstein(make(ms), make(tiny), 60, slack) == \
+                    pytest.approx(1e-6, rel=1e-9)
+
+
+def per_entry_cost_matrix(pa, sa, pb, sb, slack):
+    """The cost matrix built entry by entry with ``sup_dist``."""
+    if slack == PAD_ORIGIN:
+        zero = (0.0,) * (len(pa[0]) if len(pa) else len(pb[0]))
+        n = max(len(pa), len(pb))
+        pa = list(pa) + [zero] * (n - len(pa))
+        pb = list(pb) + [zero] * (n - len(pb))
+        return np.array([[sup_dist(a, b) for b in pb] for a in pa])
+    n, m = len(pa), len(pb)
+    raw = np.full((n + m, n + m), INF)
+    for i in range(n):
+        for j in range(m):
+            raw[i, j] = sup_dist(pa[i], pb[j])
+        raw[i, m + i] = sa[i]
+    for j in range(m):
+        raw[n + j, j] = sb[j]
+    raw[n:, m:] = 0.0
+    return raw
+
+
+class TestCostMatrix:
+    @pytest.mark.parametrize("slack", [DIAGONAL, PAD_ORIGIN])
+    def test_equals_per_entry_sup_dist(self, slack):
+        kinds = ((_pt_points, persistence_transformation),
+                 (_rpt_points, reduced_persistence_transformation),
+                 (_pd_points, lambda m: to_persistence_diagram(
+                     persistence_transformation(m))))
+        # transforms decoded from JSON null carry +inf births as well as the
+        # -inf deaths (PT, PD) and +inf persistences (RPT) of essential peaks
+        decoded = (PTSet.from_json_dict({"features": [[0.5, None, 1.0],
+                                                      [2.0, 3.0, None]],
+                                         "diagonal": []}),
+                   RPTSet.from_json_dict({"features": [[1.0, None]]}),
+                   PDSet.from_json_dict({"points": [[None, 2.0],
+                                                    [None, None]]}))
+        for seed in range(40):
+            K = random_morse_set(GenParams(peak_count_range=(1, 7), seed=seed))
+            L = random_morse_set(GenParams(peak_count_range=(1, 7),
+                                           seed=seed + 9_000))
+            for (points, make), extra in zip(kinds, decoded):
+                for A, B in ((make(K), make(L)), (make(K), extra),
+                             (extra, make(L)), (extra, extra)):
+                    (pa, sa), (pb, sb) = points(A), points(B)
+                    got = _cost_matrix(pa, sa, pb, sb, slack)
+                    want = per_entry_cost_matrix(pa, sa, pb, sb, slack)
+                    assert np.isinf(pa).any() and np.isinf(pb).any()
+                    assert np.array_equal(got, want)
+
+
 class TestAssignment:
     def test_diagonal_preferred(self):
         r = solve_assignment([[0.0, 5.0], [5.0, 0.0]])
@@ -128,6 +212,28 @@ class TestAssignment:
             solve_assignment([[1.0, 2.0]])
         with pytest.raises(ValueError):
             solve_assignment([[-1.0, 0.0], [0.0, 0.0]])
+
+    def test_bottleneck_search_matches_brute_force(self):
+        # small integer costs give many ties; the row/column lower bound is
+        # often, but not always, the answer
+        rng = np.random.default_rng(11)
+        above_bound = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 8))
+            M = rng.integers(0, 5, (n, n)).astype(float)
+            M[rng.uniform(size=(n, n)) < 0.2] = INF
+            want = brute_force_assignment(M.tolist(), "bottleneck")
+            if math.isinf(want):
+                with pytest.raises(InfeasibleError):
+                    solve_assignment(M, objective="bottleneck")
+                continue
+            r = solve_assignment(M, objective="bottleneck")
+            rows, cols = map(list, zip(*r.pairs))
+            assert rows == list(range(n)) and sorted(cols) == list(range(n))
+            assert r.cost == want == M[rows, cols].max()
+            lb = max(M.min(axis=1).max(), M.min(axis=0).max())
+            above_bound += want > lb
+        assert above_bound >= 10, above_bound
 
     @pytest.mark.parametrize("objective", ["sum", "bottleneck"])
     def test_matches_brute_force(self, objective):
