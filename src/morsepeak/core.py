@@ -10,7 +10,11 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from itertools import chain
+from typing import Callable, Iterable, Sequence, Union
+
+import numpy as np
 
 
 class Kind(Enum):
@@ -55,62 +59,118 @@ def colex_lt(p: CriticalPoint, q: CriticalPoint) -> bool:
     return p.colex_key() < q.colex_key()
 
 
-def _as_point(obj, kind: Kind) -> CriticalPoint:
-    if isinstance(obj, CriticalPoint):
-        if obj.kind is not kind:
-            obj = CriticalPoint(obj.x, obj.y, kind)
-        return obj
-    x, y = obj
-    return CriticalPoint(float(x), float(y), kind)
-
-
-@dataclass(frozen=True)
 class MorseSet:
-    """Maxima (descending) and minima (ascending) over a closed interval.
+    """Maxima and minima over a closed interval, held as read-only arrays.
 
-    ``maxima`` and ``minima`` are kept in canonical order: maxima strictly
-    descending and minima strictly ascending under the value-then-position
-    comparison.  Use :func:`validate` to check the structural axioms; the
-    constructor only normalizes ordering.
+    ``xs``, ``ys`` and ``is_max`` list the points in x order (at equal x,
+    maxima first); ``domain`` is the interval.  ``maxima`` and ``minima``
+    are built on first use in canonical order: maxima strictly descending
+    and minima strictly ascending under the value-then-position comparison.
+    The constructor only orders the points; :func:`validate` checks the
+    structural axioms, once per set.
     """
 
-    maxima: tuple[CriticalPoint, ...]
-    minima: tuple[CriticalPoint, ...]
-    domain: tuple[float, float]
+    def __init__(self, xs, ys, is_max, domain: tuple[float, float]):
+        xs, ys = (np.array(v, dtype=float).reshape(-1) for v in (xs, ys))
+        is_max = np.array(is_max, dtype=bool).reshape(-1)
+        if not (xs[1:] > xs[:-1]).all():
+            order = np.lexsort((np.where(is_max, -ys, ys), ~is_max, xs))
+            xs, ys, is_max = xs[order], ys[order], is_max[order]
+        for arr in (xs, ys, is_max):
+            arr.flags.writeable = False
+        self.__dict__.update(xs=xs, ys=ys, is_max=is_max, _memo={},
+                             domain=(float(domain[0]), float(domain[1])))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MorseSet is immutable; cannot set {name!r}")
 
     @classmethod
     def build(cls, maxima: Iterable, minima: Iterable,
               domain: tuple[float, float] | None = None) -> "MorseSet":
-        mx = tuple(sorted((_as_point(p, Kind.MAX) for p in maxima),
-                          key=CriticalPoint.colex_key, reverse=True))
-        mn = tuple(sorted((_as_point(p, Kind.MIN) for p in minima),
-                          key=CriticalPoint.colex_key))
+        mx, mn = list(maxima), list(minima)
+        pts = np.array([p.coords() if isinstance(p, CriticalPoint) else p
+                        for p in mx + mn], dtype=float)
+        pts = pts.reshape(len(mx) + len(mn), 2)
         if domain is None:
-            xs = [p.x for p in mx + mn]
-            if not xs:
+            if not len(pts):
                 raise EmptyInputError("cannot infer a domain from an empty set")
-            domain = (min(xs), max(xs))
-        return cls(mx, mn, (float(domain[0]), float(domain[1])))
+            domain = (pts[:, 0].min(), pts[:, 0].max())
+        return cls(pts[:, 0], pts[:, 1], np.arange(len(pts)) < len(mx), domain)
+
+    def memo(self, key: str, compute: Callable[["MorseSet"], object]):
+        """``compute(self)``, computed once: the set is immutable."""
+        if key not in self._memo:
+            self._memo[key] = compute(self)
+        return self._memo[key]
+
+    @property
+    def report(self) -> "ValidationReport":
+        """The :func:`validate` report of this set, computed once."""
+        return self.memo("report", validate)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, MorseSet) and self.domain == other.domain
+                and all(np.array_equal(getattr(self, a), getattr(other, a))
+                        for a in ("xs", "ys", "is_max")))
+
+    def __hash__(self) -> int:
+        return hash((self.domain, *self.xs.tolist(), *self.ys.tolist(),
+                     self.is_max.tobytes()))
+
+    def __repr__(self) -> str:
+        return (f"MorseSet(maxima={self.maxima!r}, minima={self.minima!r}, "
+                f"domain={self.domain!r})")
+
+    @cached_property
+    def max_order(self) -> np.ndarray:
+        """Indices of the maxima in canonical (descending) order; the points
+        are in x order, so a stable sort by value breaks ties by position."""
+        idx = np.flatnonzero(self.is_max)
+        return idx[np.argsort(self.ys[idx], kind="stable")[::-1]]
+
+    @cached_property
+    def min_order(self) -> np.ndarray:
+        """Indices of the minima in canonical (ascending) order."""
+        idx = np.flatnonzero(~self.is_max)
+        return idx[np.argsort(self.ys[idx], kind="stable")]
+
+    @cached_property
+    def _points(self) -> tuple[CriticalPoint, ...]:
+        kinds = [Kind.MAX if m else Kind.MIN for m in self.is_max.tolist()]
+        return tuple(map(CriticalPoint, self.xs.tolist(), self.ys.tolist(),
+                         kinds))
+
+    @cached_property
+    def maxima(self) -> tuple[CriticalPoint, ...]:
+        return tuple(self._points[i] for i in self.max_order.tolist())
+
+    @cached_property
+    def minima(self) -> tuple[CriticalPoint, ...]:
+        return tuple(self._points[i] for i in self.min_order.tolist())
 
     @property
     def kappa_plus(self) -> int:
-        return len(self.maxima)
+        return int(np.count_nonzero(self.is_max))
 
     @property
     def kappa_minus(self) -> int:
-        return len(self.minima)
+        return self.xs.size - self.kappa_plus
 
-    def points_by_x(self) -> list[CriticalPoint]:
-        return sorted(self.maxima + self.minima, key=lambda p: p.x)
+    def points_by_x(self) -> tuple[CriticalPoint, ...]:
+        return self._points
 
     def global_min_value(self) -> float:
-        return min(p.y for p in self.maxima + self.minima)
+        return float(self.ys.min())
+
+    def xy(self, order: np.ndarray) -> np.ndarray:
+        """Positions and values of the points ``order`` indexes, as rows."""
+        return np.column_stack((self.xs[order], self.ys[order]))
 
     def to_json_dict(self) -> dict:
         return {
             "domain": [self.domain[0], self.domain[1]],
-            "maxima": [[p.x, p.y] for p in self.maxima],
-            "minima": [[p.x, p.y] for p in self.minima],
+            "maxima": self.xy(self.max_order).tolist(),
+            "minima": self.xy(self.min_order).tolist(),
         }
 
     @classmethod
@@ -163,55 +223,70 @@ def validate(ms: MorseSet) -> ValidationReport:
 
     Violations are data, not exceptions: the report lists every failed
     condition (Injectivity, Disjunction, Ordered, Alternation,
-    CriticalBoundary, Balance) with the offending points.
+    CriticalBoundary, Balance) with the offending points.  Each axiom is a
+    mask over the arrays; points are made only for flagged entries.
+    :attr:`MorseSet.report` computes this once per set.
     """
+    xs, ys, is_max = ms.xs, ms.ys, ms.is_max
+    pt = ms.points_by_x  # called only when something is flagged
     out: list[Violation] = []
 
-    for name, group in (("maxima", ms.maxima), ("minima", ms.minima)):
-        seen: dict[float, CriticalPoint] = {}
-        for p in group:
-            if p.x in seen:
-                out.append(Violation("Injectivity", (seen[p.x], p),
-                                     f"duplicate position {p.x} among {name}"))
-            else:
-                seen[p.x] = p
+    def lt(i, j):  # colex_lt over index arrays
+        return (ys[i] < ys[j]) | ((ys[i] == ys[j]) & (xs[i] < xs[j]))
 
-    max_x = {p.x: p for p in ms.maxima}
-    for p in ms.minima:
-        if p.x in max_x:
-            out.append(Violation("Disjunction", (max_x[p.x], p),
-                                 f"position {p.x} is both a maximum and a minimum"))
+    def flagged(mask):
+        return np.flatnonzero(mask).tolist()
 
-    for i in range(len(ms.maxima) - 1):
-        a, b = ms.maxima[i], ms.maxima[i + 1]
-        if not colex_lt(b, a):
-            out.append(Violation("Ordered", (a, b), "maxima not strictly descending"))
-    for i in range(len(ms.minima) - 1):
-        a, b = ms.minima[i], ms.minima[i + 1]
-        if not colex_lt(a, b):
-            out.append(Violation("Ordered", (a, b), "minima not strictly ascending"))
+    # With strictly increasing positions and no NaN value, no position
+    # repeats and both canonical orders are strict: the first three hold.
+    if not (xs[1:] > xs[:-1]).all() or np.isnan(ys).any():
+        for name, o in (("maxima", ms.max_order), ("minima", ms.min_order)):
+            # each position is reported with its first occurrence
+            _, first, inv = np.unique(xs[o], return_index=True,
+                                      return_inverse=True, equal_nan=False)
+            for j in flagged(first[inv] != np.arange(o.size)):
+                p = pt()[o[j]]
+                out.append(Violation(
+                    "Injectivity", (pt()[o[first[inv[j]]]], p),
+                    f"duplicate position {p.x} among {name}"))
 
-    seq = ms.points_by_x()
-    for i in range(len(seq) - 1):
-        p, q = seq[i], seq[i + 1]
-        if p.kind is q.kind:
-            out.append(Violation("Alternation", (p, q),
-                                 f"consecutive {p.kind.value} points at x={p.x}, {q.x}"))
-        else:
-            hi, lo = (p, q) if p.kind is Kind.MAX else (q, p)
-            if not colex_lt(lo, hi):
-                out.append(Violation("Alternation", (p, q),
-                                     "adjacent minimum not below its maximum"))
+        peaks, o = np.flatnonzero(is_max), ms.min_order
+        for i in o[np.isin(xs[o], xs[peaks])].tolist():
+            # the last maximum at this position in canonical order
+            k = peaks[np.searchsorted(xs[peaks], xs[i], side="right") - 1]
+            p = pt()[i]
+            out.append(Violation(
+                "Disjunction", (pt()[k], p),
+                f"position {p.x} is both a maximum and a minimum"))
+
+        for o, desc in ((ms.max_order, True), (ms.min_order, False)):
+            a, b = o[:-1], o[1:]
+            for j in flagged(~(lt(b, a) if desc else lt(a, b))):
+                out.append(Violation(
+                    "Ordered", (pt()[a[j]], pt()[b[j]]),
+                    "maxima not strictly descending" if desc
+                    else "minima not strictly ascending"))
+
+    left = np.arange(xs.size - 1)
+    same = is_max[:-1] == is_max[1:]
+    lo, hi = left + is_max[:-1], left + ~is_max[:-1]
+    for j in flagged(same | ~lt(lo, hi)):
+        p, q = pt()[j], pt()[j + 1]
+        detail = (f"consecutive {p.kind.value} points at x={p.x}, {q.x}"
+                  if same[j] else "adjacent minimum not below its maximum")
+        out.append(Violation("Alternation", (p, q), detail))
 
     a, b = ms.domain
-    if seq:
-        if not any(p.x == a for p in seq):
-            out.append(Violation("CriticalBoundary", (), f"no critical point at x={a}"))
-        if not any(p.x == b for p in seq):
-            out.append(Violation("CriticalBoundary", (), f"no critical point at x={b}"))
-        outside = tuple(p for p in seq if not (a <= p.x <= b))
+    if xs.size:
+        for end in (a, b):
+            if not (xs == end).any():
+                out.append(Violation("CriticalBoundary", (),
+                                     f"no critical point at x={end}"))
+        outside = flagged(~((a <= xs) & (xs <= b)))
         if outside:
-            out.append(Violation("CriticalBoundary", outside, "points outside the domain"))
+            out.append(Violation("CriticalBoundary",
+                                 tuple(pt()[i] for i in outside),
+                                 "points outside the domain"))
     else:
         out.append(Violation("CriticalBoundary", (), "empty set"))
 
@@ -223,9 +298,8 @@ def validate(ms: MorseSet) -> ValidationReport:
 
 
 def require_valid(ms: MorseSet) -> None:
-    report = validate(ms)
-    if report:
-        raise InvalidMorseSetError(report)
+    if ms.report:
+        raise InvalidMorseSetError(ms.report)
 
 
 # ---------------------------------------------------------------------------
@@ -260,63 +334,49 @@ def _coerce_series(series: SeriesLike) -> SampledSeries:
     return SampledSeries.single(series)
 
 
-def _collapse_plateaus(samples: Sequence[Sample], eps: float) -> list[Sample]:
-    # Runs of consecutive samples within eps collapse to their leftmost sample.
-    # Repeat until no adjacent representatives remain within eps, so the sign
-    # of every remaining difference is well defined.
-    reps = list(samples)
-    while True:
-        out = [reps[0]]
-        for s in reps[1:]:
-            if abs(s[1] - out[-1][1]) <= eps:
-                continue
-            out.append(s)
-        if len(out) == len(reps):
-            return out
-        reps = out
-
-
 def _extract_segment(samples: Sequence[Sample], eps: float) -> MorseSet:
     if len(samples) == 0:
         raise EmptyInputError("segment has no samples")
     if len(samples) < 2:
         raise EmptyInputError("segment needs at least two samples")
+    # the samples are pairs of floats: flattening them beats np.array
+    x, y = np.fromiter(chain.from_iterable(samples), float,
+                       2 * len(samples)).reshape(-1, 2).T
     # strictly increasing positions between finite ends are finite
     for i in (0, len(samples) - 1):
-        if not math.isfinite(samples[i][0]):
+        if not math.isfinite(x[i]):
             raise ValueError(f"sample {i} is not finite: {samples[i]}")
-    prev = -math.inf
-    for i, (x, y) in enumerate(samples):
-        if not math.isfinite(y):
-            raise ValueError(f"sample {i} is not finite: {(x, y)}")
-        if not prev < x:
-            raise NonMonotoneAbscissaError(
-                f"positions not strictly increasing at index {i - 1}: "
-                f"{prev} -> {x}")
-        prev = x
+    bad_y = ~np.isfinite(y)
+    bad_x = np.concatenate(([False], ~(x[:-1] < x[1:])))
+    if (bad_y | bad_x).any():
+        i = int(np.argmax(bad_y | bad_x))
+        if bad_y[i]:
+            raise ValueError(f"sample {i} is not finite: {samples[i]}")
+        raise NonMonotoneAbscissaError(
+            f"positions not strictly increasing at index {i - 1}: "
+            f"{samples[i - 1][0]} -> {samples[i][0]}")
 
-    reps = _collapse_plateaus(samples, eps)
-    if len(reps) < 2:
+    # Runs of consecutive samples within eps of the last kept one collapse to
+    # their leftmost sample, so no two adjacent kept values are within eps.
+    values = y.tolist()
+    keep, last = [0], values[0]
+    for i, v in enumerate(values):
+        if abs(v - last) > eps:
+            keep.append(i)
+            last = v
+    if len(keep) < 2:
         raise ConstantSegmentError("segment is constant after plateau collapse")
 
-    maxima: list[Sample] = []
-    minima: list[Sample] = []
-    last = len(reps) - 1
-    for i, (x, y) in enumerate(reps):
-        if i == 0:
-            rising = reps[1][1] > y
-            (minima if rising else maxima).append((x, y))
-        elif i == last:
-            rising = y > reps[i - 1][1]
-            (maxima if rising else minima).append((x, y))
-        else:
-            prev = y - reps[i - 1][1]
-            nxt = reps[i + 1][1] - y
-            if prev > 0 and nxt < 0:
-                maxima.append((x, y))
-            elif prev < 0 and nxt > 0:
-                minima.append((x, y))
-    return MorseSet.build(maxima, minima, (reps[0][0], reps[-1][0]))
+    keep = np.array(keep)
+    x, y = x[keep], y[keep]
+    rising = y[1:] > y[:-1]
+    # A point is critical where the slope into it and the slope out of it
+    # differ, and a maximum where the one into it rises.  An end repeats its
+    # one slope reversed on the missing side, so it is always critical.
+    into = np.concatenate(([not rising[0]], rising))
+    out_of = np.concatenate((rising, [not rising[-1]]))
+    crit = into != out_of
+    return MorseSet(x[crit], y[crit], into[crit], (x[0], x[-1]))
 
 
 def extract_critical_points(series: SeriesLike,
@@ -327,7 +387,7 @@ def extract_critical_points(series: SeriesLike,
     plateau collapse; both segment endpoints become boundary critical points
     whose kind is determined by the adjacent slope.
     """
-    if plateau_epsilon < 0:
+    if not plateau_epsilon >= 0:  # NaN too
         raise ValueError("plateau_epsilon must be nonnegative")
     ss = _coerce_series(series)
     if not ss.segments or all(len(seg) == 0 for seg in ss.segments):

@@ -135,13 +135,17 @@ def _aggregate(costs: Sequence[float], p: float) -> float:
 _ORIGIN = (0.0, 0.0)
 
 
+def _ranked(ms: MorseSet, order: np.ndarray):
+    return zip(ms.xs[order].tolist(), ms.ys[order].tolist())
+
+
 def mstar_pairs(K: MorseSet, L: MorseSet) -> list[tuple[tuple, tuple]]:
     """Rank matching: i-th maxima and j-th minima of each set are paired;
     the shorter lists are padded with the origin (0, 0)."""
-    return [(_ORIGIN if a is None else a.coords(),
-             _ORIGIN if b is None else b.coords())
-            for left, right in ((K.maxima, L.maxima), (K.minima, L.minima))
-            for a, b in zip_longest(left, right)]
+    return [pair for a, b in ((K.max_order, L.max_order),
+                              (K.min_order, L.min_order))
+            for pair in zip_longest(_ranked(K, a), _ranked(L, b),
+                                    fillvalue=_ORIGIN)]
 
 
 def morse_distance(K: MorseSet, L: MorseSet, p: float = 2.0) -> float:
@@ -220,8 +224,10 @@ def wasserstein(A: TransformSet, B: TransformSet, p: float = 2.0,
 
     Finite p matches on ``(M / top) ** p``, ``top`` the largest finite cost:
     no power overflows into a spurious infinity, and scaling keeps the
-    optimal matching.  The distance is the scale-safe p-norm of that
-    matching's costs, as in :func:`morse_distance`, so it is not rounded to 0.
+    optimal matching.  If a positive cost underflows to 0 there, such costs
+    would tie, so ``M`` is scaled by the bottleneck value instead and the
+    optimum's total lies in [1, n].  The distance is the scale-safe p-norm
+    of the matched costs, as in :func:`morse_distance`, never rounded to 0.
     """
     p = _check_p(p)
     if type(A) is not type(B):
@@ -236,8 +242,14 @@ def wasserstein(A: TransformSet, B: TransformSet, p: float = 2.0,
             cost = solve_assignment(raw, objective="bottleneck").cost
         else:
             top = raw.max(where=np.isfinite(raw), initial=0.0) or 1.0
-            scaled = np.divide(raw, top)
-            np.power(scaled, p, out=scaled)
+            least = raw.min(where=raw > 0, initial=math.inf)
+            # if the least positive cost scales to 0, such costs all tie:
+            # scale by the bottleneck value (the least cost if that is 0)
+            scale = top if (least / top) ** p > 0 else max(
+                solve_assignment(raw, objective="bottleneck").cost, least)
+            scaled = np.divide(raw, scale)
+            with np.errstate(over="ignore"):
+                np.power(scaled, p, out=scaled)
             pairs = solve_assignment(scaled).pairs
             cost = _aggregate([raw[ij] for ij in pairs], p)
     except InfeasibleError:

@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import (CriticalPoint, Kind, MorseSet, require_valid)
+import numpy as np
+
+from .core import CriticalPoint, MorseSet, require_valid
 
 
 def elder_key(p: CriticalPoint) -> tuple[float, float]:
@@ -46,6 +48,33 @@ class Pairing:
         return {e.peak: e.death for e in self.entries}
 
 
+def _elder_deaths(ms: MorseSet) -> np.ndarray:
+    # Union-find on the x order: a component of the upper levelset is an
+    # interval [l, r] with span[l] = r, span[r] = l and elder peak elder[l].
+    # Each maximum starts alone; minima come from the top down, leftmost
+    # first at equal height (a stable sort of the x order).
+    ys, n = ms.ys.tolist(), ms.xs.size
+    death, span, elder = [-1] * n, list(range(n)), list(range(n))
+    mins = np.flatnonzero(~ms.is_max)
+    for i in mins[np.argsort(-ms.ys[mins], kind="stable")].tolist():
+        if 0 < i < n - 1:
+            l, r = span[i - 1], span[i + 1]
+            a, b = elder[l], elder[i + 1]
+            # a lies left of b, so it is the elder at equal height
+            old, young = (a, b) if ys[a] >= ys[b] else (b, a)
+            death[young] = i
+            elder[l] = old
+            span[l], span[r] = r, l
+    return np.array(death)
+
+
+def _deaths(ms: MorseSet) -> np.ndarray:
+    """Index of each point's death minimum in x order; -1 for minima and for
+    the essential peak.  Computed once per set."""
+    require_valid(ms)
+    return ms.memo("deaths", _elder_deaths)
+
+
 def pair(ms: MorseSet) -> Pairing:
     """Elder-rule pairing via a union-find sweep over the critical sequence.
 
@@ -53,38 +82,11 @@ def pair(ms: MorseSet) -> Pairing:
     components of its two neighboring maxima and kills the younger of the two
     representative peaks.
     """
-    require_valid(ms)
-    seq = ms.points_by_x()
-    n = len(seq)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    elder = {i: i for i in range(n) if seq[i].kind is Kind.MAX}
-    death: dict[int, CriticalPoint] = {}
-    # maxima are processed before minima at equal height, so both neighbors of
-    # an interior minimum are active when it is reached
-    order = sorted(range(n),
-                   key=lambda i: (-seq[i].y,
-                                  0 if seq[i].kind is Kind.MAX else 1,
-                                  seq[i].x))
-    for i in order:
-        if seq[i].kind is Kind.MIN and 0 < i < n - 1:
-            left, right = find(i - 1), find(i + 1)
-            if elder_key(seq[elder[left]]) <= elder_key(seq[elder[right]]):
-                old, young = left, right
-            else:
-                old, young = right, left
-            death[elder[young]] = seq[i]
-            parent[young] = old
-
-    index_of = {p: i for i, p in enumerate(seq)}
-    entries = tuple(PairingEntry(m, death.get(index_of[m])) for m in ms.maxima)
-    return Pairing(entries)
+    death = _deaths(ms).tolist()
+    pts = ms.points_by_x()
+    return Pairing(tuple(
+        PairingEntry(pts[i], None if death[i] < 0 else pts[death[i]])
+        for i in ms.max_order.tolist()))
 
 
 def pair_recursive(ms: MorseSet) -> Pairing:
@@ -93,13 +95,15 @@ def pair_recursive(ms: MorseSet) -> Pairing:
     Pop the global maximum (essential), split the remaining maxima into the
     regions left and right of it, then repeatedly pop each region's top peak
     and assign it the lowest minimum strictly between that peak and the region
-    edge shared with its higher neighbor.  Implemented with an explicit stack;
-    the emitted pairs do not depend on traversal order.
+    edge shared with its higher neighbor.  Minima are ranked by the order
+    that ranks the peaks, so at equal height the rightmost one is lowest, as
+    in the top-down sweep.  Implemented with an explicit stack; the emitted
+    pairs do not depend on traversal order.
     """
     require_valid(ms)
     if not ms.maxima:
         return Pairing(())
-    minima = sorted(ms.minima, key=CriticalPoint.colex_key)
+    minima = sorted(ms.minima, key=elder_key, reverse=True)
     maxima = sorted(ms.maxima, key=elder_key)
     death: dict[CriticalPoint, Optional[CriticalPoint]] = {}
 
@@ -216,14 +220,28 @@ def _feature_sort_key(f) -> tuple[float, float]:
     return (-f.persistence, f.x)
 
 
+def _peaks(ms: MorseSet) -> tuple[np.ndarray, ...]:
+    """Position, birth, death value and persistence of every peak."""
+    d = _deaths(ms)[ms.is_max]
+    x, birth = ms.xs[ms.is_max], ms.ys[ms.is_max]
+    death = np.where(d < 0, -math.inf, ms.ys[d])
+    with np.errstate(over="ignore"):
+        return x, birth, death, birth - death
+
+
+def _rows(cls, x: np.ndarray, pers: np.ndarray, *cols: np.ndarray) -> tuple:
+    """``cls(x, *cols)`` rows by descending persistence, then position."""
+    o = np.lexsort((x, -pers))
+    return tuple(map(cls, x[o].tolist(), *(c[o].tolist() for c in cols)))
+
+
 def persistence_transformation(ms: MorseSet) -> PTSet:
     """Map each maximum to (position, birth, death); minima land on the
     diagonal plane.  Features are sorted by descending persistence."""
-    pr = pair(ms)
-    feats = sorted((PTFeature(e.peak.x, e.peak.y, e.death_value)
-                    for e in pr.entries), key=_feature_sort_key)
-    diag = tuple(PTFeature(m.x, m.y, m.y) for m in ms.minima)
-    return PTSet(tuple(feats), diag)
+    x, birth, death, pers = _peaks(ms)
+    y = ms.ys[ms.min_order].tolist()
+    diag = tuple(map(PTFeature, ms.xs[ms.min_order].tolist(), y, y))
+    return PTSet(_rows(PTFeature, x, pers, birth, death), diag)
 
 
 def reduced_persistence_transformation(ms: MorseSet,
@@ -234,16 +252,12 @@ def reduced_persistence_transformation(ms: MorseSet,
     set, in which case its death is clipped to the component's global minimum
     value so the output stays finite.
     """
-    pr = pair(ms)
-    floor = ms.global_min_value() if clip_essential and pr.entries else None
-    feats = []
-    for e in pr.entries:
-        if e.essential and floor is not None:
-            feats.append(RPTFeature(e.peak.x, e.peak.y - floor))
-        else:
-            feats.append(RPTFeature(e.peak.x, e.persistence))
-    feats.sort(key=_feature_sort_key)
-    return RPTSet(tuple(feats))
+    x, birth, death, pers = _peaks(ms)
+    if clip_essential and x.size:
+        with np.errstate(over="ignore"):
+            clipped = birth - ms.global_min_value()
+        pers = np.where(np.isinf(death), clipped, pers)
+    return RPTSet(_rows(RPTFeature, x, pers, pers))
 
 
 def to_persistence_diagram(pt: PTSet) -> PDSet:

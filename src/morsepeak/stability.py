@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import CriticalPoint, Kind, MorseSet, validate
+from .core import MorseSet
 from .metrics import PAD_ORIGIN, morse_distance, wasserstein
 from .pairing import persistence_transformation, reduced_persistence_transformation
 
@@ -57,9 +57,7 @@ def random_morse_set(params: GenParams) -> MorseSet:
     heights = np.empty(2 * k + 1)
     heights[0::2] = rng.uniform(ylo, mid, k + 1)
     heights[1::2] = rng.uniform(mid, yhi, k)
-    maxima = [(positions[i], heights[i]) for i in range(1, 2 * k + 1, 2)]
-    minima = [(positions[i], heights[i]) for i in range(0, 2 * k + 1, 2)]
-    return MorseSet.build(maxima, minima, (a, b))
+    return MorseSet(positions, heights, np.arange(2 * k + 1) % 2 == 1, (a, b))
 
 
 @dataclass(frozen=True)
@@ -81,22 +79,18 @@ def perturb_with_info(K: MorseSet, epsilon: float,
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    pts = K.points_by_x()
-    if epsilon == 0 or not pts:
+    n = K.xs.size
+    if epsilon == 0 or not n:
         return K, PerturbInfo(0.0)
     rng = np.random.default_rng(seed)
-    dx = rng.uniform(-epsilon, epsilon, len(pts))
-    dy = rng.uniform(-epsilon, epsilon, len(pts))
+    dx = rng.uniform(-epsilon, epsilon, n)
+    dy = rng.uniform(-epsilon, epsilon, n)
     factor = 1.0
     while factor > 1e-12:
-        moved = [CriticalPoint(p.x + factor * dx[i], p.y + factor * dy[i], p.kind)
-                 for i, p in enumerate(pts)]
-        if all(moved[i].x < moved[i + 1].x for i in range(len(moved) - 1)):
-            cand = MorseSet.build(
-                [p for p in moved if p.kind is Kind.MAX],
-                [p for p in moved if p.kind is Kind.MIN],
-                (moved[0].x, moved[-1].x))
-            if validate(cand).ok:
+        xs = K.xs + factor * dx
+        if (xs[:-1] < xs[1:]).all():
+            cand = MorseSet(xs, K.ys + factor * dy, K.is_max, (xs[0], xs[-1]))
+            if cand.report.ok:
                 return cand, PerturbInfo(factor)
         factor *= 0.5
     return K, PerturbInfo(0.0)
@@ -254,30 +248,25 @@ def shrink_counterexample(K: MorseSet, L: MorseSet, p: float,
 
 
 def _lerp(K: MorseSet, L: MorseSet, t: float) -> Optional[MorseSet]:
-    def mix(ps, qs, kind):
-        return [CriticalPoint((1 - t) * p.x + t * q.x,
-                              (1 - t) * p.y + t * q.y, kind)
-                for p, q in zip(ps, qs)]
-    cand = MorseSet.build(mix(K.maxima, L.maxima, Kind.MAX),
-                          mix(K.minima, L.minima, Kind.MIN))
-    return cand if validate(cand).ok else None
+    cand = MorseSet.build(*((1 - t) * K.xy(getattr(K, o))
+                            + t * L.xy(getattr(L, o))
+                            for o in ("max_order", "min_order")))
+    return cand if cand.report.ok else None
 
 
 def _drop_peak(ms: MorseSet, i: int) -> Optional[MorseSet]:
     if not (0 <= i < ms.kappa_plus):
         return None
-    peak = ms.maxima[i]
-    seq = ms.points_by_x()
-    pos = seq.index(peak)
-    if pos in (0, len(seq) - 1):
+    pos = int(ms.max_order[i])
+    if pos in (0, ms.xs.size - 1):
         return None  # boundary peak; removal would break the boundary axiom
     # remove the peak together with its higher adjacent minimum
-    left, right = seq[pos - 1], seq[pos + 1]
-    victim = left if left.colex_key() >= right.colex_key() else right
-    cand = MorseSet.build([m for m in ms.maxima if m is not peak],
-                          [m for m in ms.minima if m is not victim],
-                          ms.domain)
-    return cand if validate(cand).ok else None
+    a, b = pos - 1, pos + 1
+    victim = a if (ms.ys[a], ms.xs[a]) >= (ms.ys[b], ms.xs[b]) else b
+    keep = np.ones(ms.xs.size, dtype=bool)
+    keep[[pos, victim]] = False
+    cand = MorseSet(ms.xs[keep], ms.ys[keep], ms.is_max[keep], ms.domain)
+    return cand if cand.report.ok else None
 
 
 def reports_to_json(reports: Sequence[StabilityReport]) -> str:

@@ -2,8 +2,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run, so they cannot flake,
+# and a fixed budget keeps the suite's run time steady.
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          max_examples=100, database=None)
+settings.load_profile("tier1")
 
 from morsepeak import MorseSet, extract_critical_points
 

@@ -1,9 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately take different routes than the production code: the
-pairing oracle sweeps a densely interpolated sample sequence, the diagram
-oracle is derived from that sweep, and the assignment/matching oracles
-enumerate permutations.
+extraction oracle walks the samples one by one, the pairing oracle sweeps a
+densely interpolated sample sequence, the diagram oracle is derived from
+that sweep, and the assignment/matching oracles enumerate permutations.
 """
 from __future__ import annotations
 
@@ -12,6 +12,41 @@ import math
 
 from morsepeak.core import CriticalPoint, Kind, MorseSet, colex_lt
 from morsepeak.metrics import sup_dist
+
+
+def extract_reference(samples, eps: float) -> MorseSet | None:
+    """Per-sample extraction of one segment; None if it is constant.
+
+    Runs of consecutive samples within eps collapse to their leftmost sample,
+    repeating until no adjacent representatives remain within eps.  Each
+    representative is then classified by the signs of its two differences;
+    an endpoint by its one difference.
+    """
+    reps = list(samples)
+    while True:
+        out = [reps[0]]
+        for s in reps[1:]:
+            if abs(s[1] - out[-1][1]) > eps:
+                out.append(s)
+        if len(out) == len(reps):
+            break
+        reps = out
+    if len(reps) < 2:
+        return None
+    maxima, minima = [], []
+    last = len(reps) - 1
+    for i, (x, y) in enumerate(reps):
+        if i == 0:
+            (minima if reps[1][1] > y else maxima).append((x, y))
+        elif i == last:
+            (maxima if y > reps[i - 1][1] else minima).append((x, y))
+        else:
+            prev, nxt = y - reps[i - 1][1], reps[i + 1][1] - y
+            if prev > 0 and nxt < 0:
+                maxima.append((x, y))
+            elif prev < 0 and nxt > 0:
+                minima.append((x, y))
+    return MorseSet.build(maxima, minima, (reps[0][0], reps[-1][0]))
 
 
 def sweep_pairing(ms: MorseSet) -> dict:
@@ -111,7 +146,9 @@ def brute_force_assignment(matrix, objective: str = "sum") -> float:
 def brute_force_wasserstein(points_a, points_b, slack_a, slack_b,
                             p: float) -> float:
     """Enumerate every matching of two small point multisets where each point
-    may also pay its own slack cost instead of being matched."""
+    may also pay its own slack cost instead of being matched.  Each
+    matching's p-norm is taken relative to its largest cost, so it does not
+    underflow at large p."""
     n, m = len(points_a), len(points_b)
     best = math.inf
     for k in range(min(n, m) + 1):
@@ -127,8 +164,10 @@ def brute_force_wasserstein(points_a, points_b, slack_a, slack_b,
                     value = max(costs, default=0.0)
                 elif any(math.isinf(c) for c in costs):
                     value = math.inf
-                else:
-                    value = math.fsum(c ** p for c in costs) ** (1 / p)
+                else:  # top * ||costs / top||_p: c ** p would underflow
+                    top = max(costs, default=0.0)
+                    value = top and top * math.fsum(
+                        (c / top) ** p for c in costs) ** (1 / p)
                 best = min(best, value)
     return best
 

@@ -16,6 +16,12 @@ def points(ms):
     return {(p.x, p.y) for p in ms.maxima}, {(p.x, p.y) for p in ms.minima}
 
 
+def violations(ms):
+    """Every violation of ``validate(ms)``: condition, points and detail."""
+    return [(v.condition, [(p.x, p.y, p.kind.value) for p in v.points],
+             v.detail) for v in validate(ms).violations]
+
+
 class TestExtraction:
     def test_monotone_ramp(self):
         (ms,) = extract_critical_points([(0, 0), (1, 1), (2, 2)])
@@ -112,30 +118,79 @@ class TestValidation:
     def test_missing_interior_minimum(self, e1):
         broken = MorseSet.build(
             e1.maxima, [m for m in e1.minima if (m.x, m.y) != (2, 1)], e1.domain)
-        conds = validate(broken).conditions()
-        assert "Alternation" in conds
         # kappa+ = kappa- = 3 after the deletion, so the balance still holds
-        assert "Balance" not in conds
+        assert violations(broken) == [
+            ("Alternation", [(1, 3, "max"), (3, 5, "max")],
+             "consecutive max points at x=1.0, 3.0")]
 
     def test_duplicate_position(self, e1):
         broken = MorseSet.build(list(e1.maxima) + [(1, 7)], e1.minima, e1.domain)
-        assert "Injectivity" in validate(broken).conditions()
+        assert violations(broken) == [
+            ("Injectivity", [(1, 7, "max"), (1, 3, "max")],
+             "duplicate position 1.0 among maxima"),
+            ("Alternation", [(1, 7, "max"), (1, 3, "max")],
+             "consecutive max points at x=1.0, 1.0")]
+
+    def test_duplicate_point(self):
+        broken = MorseSet.build([(1, 3), (1, 3)], [(0, 0), (2, 0)], (0, 2))
+        assert violations(broken) == [
+            ("Injectivity", [(1, 3, "max"), (1, 3, "max")],
+             "duplicate position 1.0 among maxima"),
+            ("Ordered", [(1, 3, "max"), (1, 3, "max")],
+             "maxima not strictly descending"),
+            ("Alternation", [(1, 3, "max"), (1, 3, "max")],
+             "consecutive max points at x=1.0, 1.0")]
 
     def test_disjunction(self, e1):
         broken = MorseSet.build(e1.maxima, list(e1.minima) + [(3, 0.2)], e1.domain)
-        assert "Disjunction" in validate(broken).conditions()
+        assert violations(broken) == [
+            ("Disjunction", [(3, 5, "max"), (3, 0.2, "min")],
+             "position 3.0 is both a maximum and a minimum"),
+            ("Alternation", [(3, 0.2, "min"), (4, 0.5, "min")],
+             "consecutive min points at x=3.0, 4.0"),
+            ("Balance", [], "|3 - 5| > 1")]
+
+    def test_disjunction_names_the_last_maximum(self):
+        broken = MorseSet.build([(1, 5), (1, 4)], [(0, 0), (1, 0), (2, 0)],
+                                (0, 2))
+        assert violations(broken) == [
+            ("Injectivity", [(1, 5, "max"), (1, 4, "max")],
+             "duplicate position 1.0 among maxima"),
+            ("Disjunction", [(1, 4, "max"), (1, 0, "min")],
+             "position 1.0 is both a maximum and a minimum"),
+            ("Alternation", [(1, 5, "max"), (1, 4, "max")],
+             "consecutive max points at x=1.0, 1.0"),
+            ("Alternation", [(1, 0, "min"), (2, 0, "min")],
+             "consecutive min points at x=1.0, 2.0")]
 
     def test_boundary_missing(self, e1):
         broken = MorseSet.build(e1.maxima, e1.minima, (-1, 6))
-        assert "CriticalBoundary" in validate(broken).conditions()
+        assert violations(broken) == [
+            ("CriticalBoundary", [], "no critical point at x=-1.0")]
+
+    def test_point_outside_domain(self):
+        broken = MorseSet.build([(1, 3)], [(0, 0), (2, 0), (5, 1)], (0, 2))
+        assert violations(broken) == [
+            ("Alternation", [(2, 0, "min"), (5, 1, "min")],
+             "consecutive min points at x=2.0, 5.0"),
+            ("CriticalBoundary", [(5, 1, "min")], "points outside the domain"),
+            ("Balance", [], "|1 - 3| > 1")]
 
     def test_balance(self):
         broken = MorseSet.build([(1, 5), (3, 4), (5, 3)], [(0, 0)], (0, 6))
-        assert "Balance" in validate(broken).conditions()
+        assert violations(broken) == [
+            ("Alternation", [(1, 5, "max"), (3, 4, "max")],
+             "consecutive max points at x=1.0, 3.0"),
+            ("Alternation", [(3, 4, "max"), (5, 3, "max")],
+             "consecutive max points at x=3.0, 5.0"),
+            ("CriticalBoundary", [], "no critical point at x=6.0"),
+            ("Balance", [], "|3 - 1| > 1")]
 
     def test_min_above_adjacent_max(self):
         broken = MorseSet.build([(1, 2), (3, 6)], [(0, 0), (2, 4), (4, 0)], (0, 4))
-        assert "Alternation" in validate(broken).conditions()
+        assert violations(broken) == [
+            ("Alternation", [(1, 2, "max"), (2, 4, "min")],
+             "adjacent minimum not below its maximum")]
 
     def test_alternation_matches_quantified_form(self):
         for seed in range(40):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from morsepeak import (DIAGONAL, PAD_ORIGIN, GenParams, KindMismatchError,
-                       MorseSet, PDSet, PTSet, RPTSet, UnmatchableInfinityError,
+                       MorseSet, PDSet, PTSet, RPTFeature, RPTSet,
+                       UnmatchableInfinityError,
                        morse_distance, perturb, persistence_transformation,
                        random_morse_set, reduced_persistence_transformation,
                        solve_assignment, sup_dist, to_persistence_diagram,
@@ -126,6 +127,31 @@ class TestScaleSafety:
             for make in (persistence_transformation, pd):
                 assert wasserstein(make(ms), make(tiny), 60, slack) == \
                     pytest.approx(1e-6, rel=1e-9)
+
+    # costs of 1e-6 next to a cost of 1000: at p = 60, (1e-9) ** 60 is 0
+    TINY_A = RPTSet((RPTFeature(500, 1000.0), RPTFeature(0.0, 1.0),
+                     RPTFeature(1e-5, 1.0)))
+    TINY_B = RPTSet((RPTFeature(500, 1000.0), RPTFeature(1.1e-5, 1.0),
+                     RPTFeature(1e-6, 1.0)))
+
+    @pytest.mark.parametrize("slack", [DIAGONAL, PAD_ORIGIN])
+    def test_underflowed_costs_do_not_tie(self, slack):
+        A, B = self.TINY_A, self.TINY_B
+        got = wasserstein(A, B, 60, slack)
+        assert got == pytest.approx(2 ** (1 / 60) * 1e-6, rel=1e-9)
+        (pa, sa), (pb, sb) = _rpt_points(A), _rpt_points(B)
+        assert got == pytest.approx(
+            brute_force_wasserstein(pa, pb, sa, sb, 60), rel=1e-9)
+        # no cost underflows at p = 2 and p = 20, so these keep the top scaling
+        assert wasserstein(A, B, 2, slack) == 1.414213562373094e-06
+        assert wasserstein(A, B, 20, slack) == 1.0352649238413769e-06
+
+    def test_underflow_with_a_zero_bottleneck(self):
+        # an all-zero matching exists and other positive costs underflow:
+        # the bottleneck value is 0, so the least positive cost is the scale
+        A = RPTSet((RPTFeature(0.0, 1000.0), RPTFeature(0.0, 1.0)))
+        B = RPTSet((RPTFeature(0.0, 1000.0), RPTFeature(0.0, 1.0)))
+        assert wasserstein(A, B, 200, DIAGONAL) == 0.0
 
 
 def per_entry_cost_matrix(pa, sa, pb, sb, slack):

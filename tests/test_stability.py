@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from morsepeak import core, pairing
 from morsepeak import (PAD_ORIGIN, GenParams, MorseSet, check_stability,
                        morse_distance, perturb, perturb_with_info,
                        random_morse_set, reports_to_json, run_trials, validate)
@@ -152,3 +153,40 @@ class TestRunTrials:
             p = INF if payload["p"] == "inf" else payload["p"]
             r = check_stability(K, L, p, payload["transform"], payload["slack"])
             assert not r.holds
+
+
+class TestComputedOnce:
+    """A Morse set is validated once and paired once, however often the
+    stability checks read it."""
+
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        seen = []  # keeps every argument alive, so ids are not reused
+        real = getattr(module, name)
+
+        def wrapper(ms):
+            seen.append(ms)
+            return real(ms)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return seen
+
+    def test_check_stability(self, monkeypatch):
+        validated = self.counted(monkeypatch, core, "validate")
+        paired = self.counted(monkeypatch, pairing, "_elder_deaths")
+        K = random_morse_set(GenParams(seed=7))
+        L = perturb(K, 0.1, 8)
+        for p in (1, 2, INF):
+            for transform in ("pt", "rpt"):
+                check_stability(K, L, p, transform)
+        assert sorted(map(id, validated)) == sorted([id(K), id(L)])
+        assert sorted(map(id, paired)) == sorted([id(K), id(L)])
+
+    def test_run_trials(self, monkeypatch):
+        validated = self.counted(monkeypatch, core, "validate")
+        paired = self.counted(monkeypatch, pairing, "_elder_deaths")
+        run_trials(GenParams(seed=5), trials=20)
+        for seen in (validated, paired):
+            assert len({id(ms) for ms in seen}) == len(seen)
+        # each trial pairs its two sets, K and the perturbed L
+        assert len(paired) == 40
