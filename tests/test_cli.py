@@ -132,6 +132,44 @@ class TestTransform:
             assert code == 0 and path.read_text().startswith("<svg")
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# Each case writes the files it names, which must equal the checked-in
+# outputs byte for byte.  The fixture has two segments with headers, a
+# plateau, tied peak heights and a row with an extra column.
+GOLDEN_CASES = {
+    "pt-svg": (["transform", "--kind", "pt", "--svg", "{out}/pt.svg",
+                "-o", "{out}/pt.json"], ("pt.json", "pt.svg")),
+    "pt-tau": (["transform", "--kind", "pt", "--tau", "1",
+                "-o", "{out}/pt_tau1.json"], ("pt_tau1.json",)),
+    "rpt-csv": (["transform", "--kind", "rpt", "--format", "csv",
+                 "-o", "{out}/rpt.csv"], ("rpt.csv",)),
+    "rpt-clip": (["transform", "--kind", "rpt", "--format", "csv",
+                  "--clip-essential", "-o", "{out}/rpt_clip.csv"],
+                 ("rpt_clip.csv",)),
+    "pd": (["transform", "--kind", "pd", "-o", "{out}/pd.json"], ("pd.json",)),
+    "extract": (["extract", "-o", "{out}/extract.json"], ("extract.json",)),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_bytes(self, capsys, tmp_path, case):
+        argv, files = GOLDEN_CASES[case]
+        argv = [a.format(out=tmp_path) for a in argv]
+        argv.insert(1, str(GOLDEN / "two_segments.csv"))
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, "", "")
+        for name in files:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_stdout_ends_with_newline(self, capsys):
+        code, out, _ = run(capsys, "transform", str(GOLDEN / "two_segments.csv"),
+                           "--kind", "pd")
+        assert code == 0
+        assert out == (GOLDEN / "pd.json").read_text() + "\n"
+
+
 class TestDistance:
     def test_morse_identity(self, capsys, e1_csv):
         code, out, _ = run(capsys, "distance", e1_csv, e1_csv)
