@@ -10,6 +10,9 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 from . import plots
@@ -57,24 +60,40 @@ def _slack(token: str) -> str:
     return {"diagonal": DIAGONAL, "pad-origin": PAD_ORIGIN}[token]
 
 
-def _load_morse_sets(text: str, plateau_eps: float) -> list[MorseSet]:
-    stripped = text.lstrip()
-    if stripped.startswith("{") or stripped.startswith("["):
+@contextmanager
+def _json_shape(name: str):
+    """JSON input of the wrong shape is an input error naming the input."""
+    try:
+        yield
+    except (TypeError, IndexError) as exc:
+        source = "stdin" if name == "-" else name
+        raise ValueError(f"{source}: JSON of the wrong shape ({exc})") from None
+
+
+def _load_morse_sets(text: str, plateau_eps: float,
+                     name: str) -> list[MorseSet]:
+    if text.lstrip().startswith(("{", "[")):
         data = json.loads(text)
-        if isinstance(data, dict):
-            data = [data]
-        return [MorseSet.from_json_dict(d) for d in data]
+        with _json_shape(name):
+            return [MorseSet.from_json_dict(d)
+                    for d in ([data] if isinstance(data, dict) else data)]
     return extract_critical_points(read_csv_series(text), plateau_eps)
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1)
-
-
-def _fmt_scalar(v: float) -> str:
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".12g")
+def _dump_rows(doc: dict[str, list[list]]) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=1)`` for a dict of lists of
+    rows of one length: the C encoder writes the scalars, joins the layout."""
+    items = []
+    for key in sorted(doc):
+        rows, head = doc[key], f" {json.dumps(key)}: ["
+        if not rows:
+            items.append(head + "]")
+            continue
+        cells = json.dumps(list(chain.from_iterable(rows)))[1:-1].split(", ")
+        body = "\n  ],\n  [\n   ".join(
+            map(",\n   ".join, zip(*[iter(cells)] * len(rows[0]))))
+        items.append(f"{head}\n  [\n   {body}\n  ]\n ]")
+    return "{\n" + ",\n".join(items) + "\n}"
 
 
 # ---------------------------------------------------------------------------
@@ -86,76 +105,62 @@ def cmd_extract(args) -> int:
                                    args.plateau_eps)
     docs = [s.to_json_dict() for s in sets]
     payload = docs[0] if len(docs) == 1 else docs
-    _write_output(_dump_json(payload), args.output)
+    _write_output(json.dumps(payload, sort_keys=True, indent=1), args.output)
     return 0
 
 
 def cmd_transform(args) -> int:
-    sets = _load_morse_sets(_read_input(args.input), args.plateau_eps)
+    sets = _load_morse_sets(_read_input(args.input), args.plateau_eps,
+                            args.input)
     if args.kind == "pt":
         result = join_pt(denoise(persistence_transformation(s), args.tau)
                          for s in sets)
-        svg = plots.render_pt(result)
     elif args.kind == "rpt":
         result = join_rpt(reduced_persistence_transformation(s, args.clip_essential)
                           for s in sets)
-        svg = plots.render_rpt(result)
     else:
         result = join_pd(to_persistence_diagram(
             denoise(persistence_transformation(s), args.tau)) for s in sets)
-        svg = plots.render_pd(result)
     if args.svg:
-        Path(args.svg).write_text(svg)
-    if args.format == "csv":
-        _write_output(_to_csv(result), args.output)
-    else:
-        _write_output(_dump_json(result.to_json_dict()), args.output)
+        # looked up on the module at call time, so a wrapped renderer is used
+        render = getattr(plots, f"render_{args.kind}")
+        Path(args.svg).write_text(render(result))
+    _write_output(_to_csv(result) if args.format == "csv"
+                  else _dump_rows(result.to_json_dict()), args.output)
     return 0
 
 
 def _to_csv(result) -> str:
-    rows = []
     if isinstance(result, PTSet):
-        rows.append("x,birth,death")
-        for f in result.features:
-            rows.append(f"{_fmt_scalar(f.x)},{_fmt_scalar(f.birth)},"
-                        f"{_fmt_scalar(f.death)}")
-        for f in result.diagonal:
-            rows.append(f"{_fmt_scalar(f.x)},{_fmt_scalar(f.birth)},"
-                        f"{_fmt_scalar(f.death)}")
+        cols, rows = ("x", "birth", "death"), result.features + result.diagonal
     elif isinstance(result, RPTSet):
-        rows.append("x,persistence")
-        for f in result.features:
-            rows.append(f"{_fmt_scalar(f.x)},{_fmt_scalar(f.persistence)}")
+        cols, rows = ("x", "persistence"), result.features
     else:
-        rows.append("birth,death")
-        for q in result.points:
-            rows.append(f"{_fmt_scalar(q.birth)},{_fmt_scalar(q.death)}")
-    return "\n".join(rows) + "\n"
+        cols, rows = ("birth", "death"), result.points
+    fmt = ",".join(["%.12g"] * len(cols))  # writes ±∞ as inf/-inf
+    lines = map(fmt.__mod__, map(attrgetter(*cols), rows))
+    return "\n".join(chain([",".join(cols)], lines)) + "\n"
 
 
-def _load_transform(text: str, kind: str):
-    data = json.loads(text)
-    if kind == "pt":
-        return PTSet.from_json_dict(data)
-    if kind == "rpt":
-        return RPTSet.from_json_dict(data)
-    return PDSet.from_json_dict(data)
+def _load_transform(text: str, kind: str, name: str):
+    cls = {"pt": PTSet, "rpt": RPTSet, "pd": PDSet}[kind]
+    with _json_shape(name):
+        return cls.from_json_dict(json.loads(text))
 
 
 def cmd_distance(args) -> int:
     ta, tb = _read_input(args.a), _read_input(args.b)
     if args.kind == "morse":
-        sa = _load_morse_sets(ta, args.plateau_eps)
-        sb = _load_morse_sets(tb, args.plateau_eps)
+        sa = _load_morse_sets(ta, args.plateau_eps, args.a)
+        sb = _load_morse_sets(tb, args.plateau_eps, args.b)
         if len(sa) != 1 or len(sb) != 1:
             raise ValueError("morse distance expects single-segment inputs")
         d = morse_distance(sa[0], sb[0], args.p)
     else:
-        d = wasserstein(_load_transform(ta, args.kind),
-                        _load_transform(tb, args.kind),
+        d = wasserstein(_load_transform(ta, args.kind, args.a),
+                        _load_transform(tb, args.kind, args.b),
                         args.p, args.slack)
-    sys.stdout.write(_fmt_scalar(d) + "\n")
+    sys.stdout.write(format(d, ".12g") + "\n")
     return 0
 
 

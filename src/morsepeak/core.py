@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
-from typing import Callable, Iterable, Sequence, Union
+from itertools import chain, repeat
+from operator import contains
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -309,52 +311,49 @@ def require_valid(ms: MorseSet) -> None:
 Sample = tuple[float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSeries:
-    """One or more sampled segments, each with strictly increasing positions."""
+    """One or more sampled segments, each a read-only ``(n, 2)`` array of
+    ``(x, y)`` rows; positions must increase strictly within a segment."""
 
-    segments: tuple[tuple[Sample, ...], ...]
+    arrays: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        for arr in self.arrays:
+            arr.flags.writeable = False
 
     @classmethod
     def single(cls, samples: Sequence[Sample]) -> "SampledSeries":
-        return cls((tuple((float(x), float(y)) for x, y in samples),))
+        return cls.multi([samples])
 
     @classmethod
     def multi(cls, segments: Iterable[Sequence[Sample]]) -> "SampledSeries":
-        return cls(tuple(tuple((float(x), float(y)) for x, y in seg)
-                         for seg in segments))
+        flat = ([float(v) for x, y in seg for v in (x, y)] for seg in segments)
+        return cls(tuple(np.array(f).reshape(-1, 2) for f in flat))
+
+    @cached_property
+    def segments(self) -> tuple[tuple[Sample, ...], ...]:
+        """The samples as tuples, built on first use."""
+        return tuple(tuple(map(tuple, a.tolist())) for a in self.arrays)
 
 
-SeriesLike = Union[SampledSeries, Sequence[Sample]]
-
-
-def _coerce_series(series: SeriesLike) -> SampledSeries:
-    if isinstance(series, SampledSeries):
-        return series
-    return SampledSeries.single(series)
-
-
-def _extract_segment(samples: Sequence[Sample], eps: float) -> MorseSet:
+def _extract_segment(samples: np.ndarray, eps: float) -> MorseSet:
     if len(samples) == 0:
         raise EmptyInputError("segment has no samples")
     if len(samples) < 2:
         raise EmptyInputError("segment needs at least two samples")
-    # the samples are pairs of floats: flattening them beats np.array
-    x, y = np.fromiter(chain.from_iterable(samples), float,
-                       2 * len(samples)).reshape(-1, 2).T
-    # strictly increasing positions between finite ends are finite
-    for i in (0, len(samples) - 1):
-        if not math.isfinite(x[i]):
-            raise ValueError(f"sample {i} is not finite: {samples[i]}")
+    x, y = samples.T
     bad_y = ~np.isfinite(y)
     bad_x = np.concatenate(([False], ~(x[:-1] < x[1:])))
-    if (bad_y | bad_x).any():
-        i = int(np.argmax(bad_y | bad_x))
-        if bad_y[i]:
-            raise ValueError(f"sample {i} is not finite: {samples[i]}")
+    # strictly increasing positions between finite ends are finite
+    ends = [i for i in (0, len(x) - 1) if not math.isfinite(x[i])]
+    i = ends[0] if ends else int(np.argmax(bad_y | bad_x))
+    if ends or bad_y[i]:
+        raise ValueError(f"sample {i} is not finite: {(*samples[i].tolist(),)}")
+    if bad_x[i]:
         raise NonMonotoneAbscissaError(
             f"positions not strictly increasing at index {i - 1}: "
-            f"{samples[i - 1][0]} -> {samples[i][0]}")
+            f"{x[i - 1].item()} -> {x[i].item()}")
 
     # Runs of consecutive samples within eps of the last kept one collapse to
     # their leftmost sample, so no two adjacent kept values are within eps.
@@ -379,7 +378,7 @@ def _extract_segment(samples: Sequence[Sample], eps: float) -> MorseSet:
     return MorseSet(x[crit], y[crit], into[crit], (x[0], x[-1]))
 
 
-def extract_critical_points(series: SeriesLike,
+def extract_critical_points(series: SampledSeries | Sequence[Sample],
                             plateau_epsilon: float = 0.0) -> list[MorseSet]:
     """Extract one Morse set per segment of a sampled series.
 
@@ -389,39 +388,54 @@ def extract_critical_points(series: SeriesLike,
     """
     if not plateau_epsilon >= 0:  # NaN too
         raise ValueError("plateau_epsilon must be nonnegative")
-    ss = _coerce_series(series)
-    if not ss.segments or all(len(seg) == 0 for seg in ss.segments):
+    ss = (series if isinstance(series, SampledSeries)
+          else SampledSeries.single(series))
+    if not any(len(seg) for seg in ss.arrays):
         raise EmptyInputError("series has no samples")
-    return [_extract_segment(seg, plateau_epsilon) for seg in ss.segments]
+    return [_extract_segment(seg, plateau_epsilon) for seg in ss.arrays]
 
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
 
-def read_csv_series(text: str) -> SampledSeries:
-    """Parse `x,y` CSV with an optional header; blank lines split segments."""
-    segments: list[list[Sample]] = []
-    current: list[Sample] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            if current:
-                segments.append(current)
-                current = []
-            continue
-        cells = [c.strip() for c in line.split(",")]
+def _parse_segment(lines: list[str], lineno: int) -> np.ndarray:
+    """The ``(n, 2)`` samples of one segment's stripped, non-blank lines,
+    the first being line ``lineno``.  From the first numeric row on, plain
+    ``x,y`` rows are parsed whole; anything else is scanned line by line."""
+    rows: list[Sample] = []
+    for n, line in enumerate(lines, lineno):
+        cells = line.split(",")
         if len(cells) < 2:
-            raise ValueError(f"line {lineno}: expected two columns, got {line!r}")
+            raise ValueError(f"line {n}: expected two columns, got {line!r}")
         try:
-            sample = (float(cells[0]), float(cells[1]))
+            rows.append((float(cells[0]), float(cells[1])))
         except ValueError:
-            if not current:
+            if not rows:
                 continue  # header row of a segment
-            raise ValueError(f"line {lineno}: non-numeric row {line!r}") from None
-        current.append(sample)
-    if current:
-        segments.append(current)
+            raise ValueError(f"line {n}: non-numeric row {line!r}") from None
+        if len(rows) == 1:  # from the first numeric row on
+            rest = lines[n - lineno:]
+            cells = ",".join(rest).split(",")
+            # 2m cells and a comma on each of the m lines: one on each
+            if len(cells) == 2 * len(rest) and all(map(contains, rest, repeat(","))):
+                with suppress(ValueError):  # a bad row: scan on
+                    return np.fromiter(map(float, cells), float).reshape(-1, 2)
+    return np.array(rows).reshape(-1, 2)
+
+
+def read_csv_series(text: str) -> SampledSeries:
+    """Parse `x,y` CSV: whitespace-only lines split segments, rows before a
+    segment's first numeric row are headers, and columns after the second
+    are ignored; a bad row is a ``ValueError`` naming its line."""
+    lines = [*map(str.strip, text.splitlines()), ""]  # "" ends the last segment
+    segments, start = [], 0
+    while start < len(lines):
+        end = lines.index("", start)
+        seg = _parse_segment(lines[start:end], start + 1)
+        if len(seg):  # not only header rows
+            segments.append(seg)
+        start = end + 1
     if not segments:
         raise EmptyInputError("CSV contains no data rows")
-    return SampledSeries.multi(segments)
+    return SampledSeries(tuple(segments))

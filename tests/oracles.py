@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately take different routes than the production code: the
-extraction oracle walks the samples one by one, the pairing oracle sweeps a
+CSV oracle parses one line at a time, the extraction oracle walks the
+samples one by one, the pairing oracle sweeps a
 densely interpolated sample sequence, the diagram oracle is derived from
 that sweep, and the assignment/matching oracles enumerate permutations.
 """
@@ -10,8 +11,42 @@ from __future__ import annotations
 import itertools
 import math
 
-from morsepeak.core import CriticalPoint, Kind, MorseSet, colex_lt
+from morsepeak.core import (CriticalPoint, EmptyInputError, Kind, MorseSet,
+                            colex_lt)
 from morsepeak.metrics import sup_dist
+
+
+def read_csv_reference(text: str) -> list[tuple[tuple[float, float], ...]]:
+    """Per-line CSV parse: the segments as tuples of (x, y) samples.
+
+    Whitespace-only lines split segments; non-numeric rows before a
+    segment's first numeric row are headers; columns after the second are
+    ignored.  Errors name the 1-based line.
+    """
+    segments: list[list[tuple[float, float]]] = []
+    current: list[tuple[float, float]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            if current:
+                segments.append(current)
+                current = []
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) < 2:
+            raise ValueError(f"line {lineno}: expected two columns, got {line!r}")
+        try:
+            sample = (float(cells[0]), float(cells[1]))
+        except ValueError:
+            if not current:
+                continue  # header row of a segment
+            raise ValueError(f"line {lineno}: non-numeric row {line!r}") from None
+        current.append(sample)
+    if current:
+        segments.append(current)
+    if not segments:
+        raise EmptyInputError("CSV contains no data rows")
+    return [tuple(seg) for seg in segments]
 
 
 def extract_reference(samples, eps: float) -> MorseSet | None:

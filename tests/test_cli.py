@@ -6,9 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import morsepeak
-from morsepeak.cli import main
+from morsepeak.cli import _dump_rows, main
 
 E1_CSV = "x,y\n0,0\n1,3\n2,1\n3,5\n4,0.5\n5,2\n6,0\n"
 
@@ -150,6 +151,41 @@ GOLDEN_CASES = {
     "pd": (["transform", "--kind", "pd", "-o", "{out}/pd.json"], ("pd.json",)),
     "extract": (["extract", "-o", "{out}/extract.json"], ("extract.json",)),
 }
+
+
+class TestJSONShape:
+    """JSON input of the wrong shape is an input error naming the input."""
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["transform", "--kind", "pt"], [1, 2]),
+        (["transform", "--kind", "rpt"],
+         {"maxima": 5, "minima": [], "domain": [0, 1]}),
+        (["transform", "--kind", "pt"],
+         {"maxima": [[1, 2]], "minima": [[0, 0], [2, 0]], "domain": [0]}),
+        (["distance", "--kind", "pt"], {"features": 5, "diagonal": []}),
+        (["distance", "--kind", "pd"], [1, 2]),
+    ])
+    def test_exit_2(self, capsys, tmp_path, argv, doc):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        argv = argv[:1] + [str(path)] * (2 if argv[0] == "distance" else 1) \
+            + argv[1:]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"morsepeak: {path}: JSON of the wrong shape")
+
+
+SCALARS = st.one_of(st.none(), st.floats(), st.integers(-10**20, 10**20))
+
+
+@given(st.dictionaries(
+    st.sampled_from(["points", "features", "diagonal"]),
+    st.integers(1, 3).flatmap(
+        lambda width: st.lists(st.lists(SCALARS, min_size=width,
+                                        max_size=width), max_size=6)),
+    min_size=1))
+def test_dump_rows_matches_json_dumps(doc):
+    assert _dump_rows(doc) == json.dumps(doc, sort_keys=True, indent=1)
 
 
 class TestGolden:

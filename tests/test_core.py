@@ -7,7 +7,7 @@ from morsepeak import (ConstantSegmentError, CriticalPoint, EmptyInputError,
                        GenParams, Kind, MorseSet, NonMonotoneAbscissaError,
                        SampledSeries, colex_lt, extract_critical_points,
                        random_morse_set, read_csv_series, validate)
-from oracles import quantified_alternation_ok
+from oracles import quantified_alternation_ok, read_csv_reference
 
 from conftest import E1_SAMPLES
 
@@ -241,3 +241,86 @@ class TestSerialization:
     def test_csv_empty(self):
         with pytest.raises(EmptyInputError):
             read_csv_series("\n\n")
+
+
+def parsed(text):
+    """The segments ``read_csv_series`` finds, or its error's type and text."""
+    try:
+        return read_csv_series(text).segments
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestCSVContract:
+    @pytest.mark.parametrize("text, segments", [
+        ("x,y\n0,0\n1,1\n\nx,y\n5,2\n6,0\n",
+         (((0, 0), (1, 1)), ((5, 2), (6, 0)))),            # header per segment
+        ("x,y\nunit,volt\n0,0\n1,1\n", (((0, 0), (1, 1)),)),  # two headers
+        ("x,y\n\nx,y\n0,0\n1,1\n\nt,v\n",
+         (((0, 0), (1, 1)),)),                             # header-only segments
+        ("x,y\r\n0,0\r\n1,3\r\n\r\n5,2\r\n6,0\r\n",
+         (((0, 0), (1, 3)), ((5, 2), (6, 0)))),            # CRLF
+        ("  0 , 0 \n1,\t3\n", (((0, 0), (1, 3)),)),        # padded cells
+        ("0,0\n1,1\n   \t\n \n5,2\n6,0\n",
+         (((0, 0), (1, 1)), ((5, 2), (6, 0)))),            # whitespace lines
+        ("0,0,a\n1,1\n2,0,3,4\n", (((0, 0), (1, 1), (2, 0)),)),  # extra columns
+    ])
+    def test_accepted(self, text, segments):
+        assert parsed(text) == segments
+        assert parsed(text) == tuple(read_csv_reference(text))
+
+    @pytest.mark.parametrize("text, error", [
+        ("0,0\n1,1\n\nx,y\n5,2\n6\n",
+         "line 6: expected two columns, got '6'"),
+        ("0,0\n1,1\n\n5,2\nnope,1\n", "line 5: non-numeric row 'nope,1'"),
+        ("0,0\n1,1\n\n5,2\n  6, \n", "line 5: non-numeric row '6,'"),
+        # three cells then one: the cell count alone looks right
+        ("0,0\n1,1\n\n5,2,9\n6\n", "line 5: expected two columns, got '6'"),
+        ("x\n0,0\n1,1\n", "line 1: expected two columns, got 'x'"),
+    ])
+    def test_rejected(self, text, error):
+        assert parsed(text) == (ValueError, error)
+        with pytest.raises(ValueError) as exc:
+            read_csv_reference(text)
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize("text", ["\n\n", "", "x,y\n \nt,v\n"])
+    def test_no_rows(self, text):
+        with pytest.raises(EmptyInputError, match="CSV contains no data rows"):
+            read_csv_series(text)
+
+    def test_non_finite_sample_named_as_tuple(self):
+        series = read_csv_series("x,y\n0,0\n1,nan\n2,1\n")
+        with pytest.raises(ValueError) as exc:
+            extract_critical_points(series)
+        assert str(exc.value) == "sample 1 is not finite: (1.0, nan)"
+
+    def test_segments_are_read_only_arrays(self):
+        series = read_csv_series("x,y\n0,0\n1,3\n2,1\n")
+        (arr,) = series.arrays
+        assert arr.shape == (3, 2) and arr.dtype == float
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+CELLS = st.sampled_from(["0", "1.5", "-2", "1e3", " 4 ", "7.25", "-0", "nan"])
+ROWS = st.tuples(CELLS, CELLS).map(",".join)
+LINES = st.one_of(
+    ROWS, ROWS, ROWS, ROWS,
+    st.tuples(CELLS, CELLS, st.sampled_from(["a", "3", ""])).map(",".join),
+    st.sampled_from(["x,y", "t, volts", "x,y,z"]),         # header-like rows
+    st.sampled_from(["", "  ", "\t"]),                      # segment separators
+    st.sampled_from(["7", "nope", "1,", ",2", "a,b"]),      # short or bad rows
+)
+
+
+@given(st.lists(LINES, max_size=14), st.sampled_from(["\n", "\r\n"]),
+       st.booleans())
+def test_csv_matches_line_by_line_reference(lines, newline, final):
+    text = newline.join(lines) + (newline if final else "")
+    try:
+        expected = tuple(read_csv_reference(text))
+    except ValueError as exc:
+        expected = type(exc), str(exc)
+    # repr compares nan samples too
+    assert repr(parsed(text)) == repr(expected)
