@@ -349,7 +349,7 @@ def _extract_segment(samples: np.ndarray, eps: float) -> MorseSet:
     ends = [i for i in (0, len(x) - 1) if not math.isfinite(x[i])]
     i = ends[0] if ends else int(np.argmax(bad_y | bad_x))
     if ends or bad_y[i]:
-        raise ValueError(f"sample {i} is not finite: {(*samples[i].tolist(),)}")
+        raise ValueError(f"sample {i} is not finite: {tuple(samples[i].tolist())}")
     if bad_x[i]:
         raise NonMonotoneAbscissaError(
             f"positions not strictly increasing at index {i - 1}: "
@@ -414,7 +414,7 @@ def _parse_segment(lines: list[str], lineno: int) -> np.ndarray:
             if not rows:
                 continue  # header row of a segment
             raise ValueError(f"line {n}: non-numeric row {line!r}") from None
-        if len(rows) == 1:  # from the first numeric row on
+        if len(rows) == 1:  # the first numeric row: try the rest whole
             rest = lines[n - lineno:]
             cells = ",".join(rest).split(",")
             # 2m cells and a comma on each of the m lines: one on each
