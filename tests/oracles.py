@@ -2,9 +2,9 @@
 
 These deliberately take different routes than the production code: the
 CSV oracle parses one line at a time, the extraction oracle walks the
-samples one by one, the pairing oracle sweeps a
-densely interpolated sample sequence, the diagram oracle is derived from
-that sweep, and the assignment/matching oracles enumerate permutations.
+samples one by one, the pairing oracle sweeps a densely interpolated sample
+sequence, the diagram oracle is derived from that sweep, and the
+assignment/matching oracles enumerate permutations.
 """
 from __future__ import annotations
 
