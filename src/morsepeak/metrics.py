@@ -4,6 +4,13 @@ The Morse-set distance pairs critical points by rank and pads with the
 origin; the Wasserstein distance minimizes over all matchings via an exact
 assignment solver.  ``p = math.inf`` is a genuine bottleneck everywhere,
 computed by threshold search, never a large-p approximation.
+
+With diagonal slack s, the one dense solve sees only the edges (i, j) of
+finite cost c with ``c^p <= s_i^p + s_j^p`` (``c <= max(s_i, s_j)`` at
+p = inf): sending both ends of any other edge to the diagonal and pairing
+their diagonal copies at cost 0 is no worse.  Diagonal copies pair only at
+kept edges, and a point of finite slack with no kept edge goes to the
+diagonal outright.  The answer equals the full bordered matrix's.
 """
 from __future__ import annotations
 
@@ -161,26 +168,28 @@ def morse_distance(K: MorseSet, L: MorseSet, p: float = 2.0) -> float:
 # Wasserstein / bottleneck on transform outputs
 
 
+def _split(rows: list, width: int, dims: int):
+    """Points (first ``dims`` columns) and slacks (last column); NaN raises."""
+    a = np.array(rows, dtype=float).reshape(-1, width)
+    if np.isnan(a).any():
+        raise ValueError("transform point or slack is NaN")
+    return a[:, :dims], a[:, -1]
+
+
 def _pt_points(s: PTSet) -> tuple[np.ndarray, np.ndarray]:
-    # only the peak features carry matched mass; the diagonal-plane points
-    # have zero persistence and act as the slack locus
-    pts = np.array([(f.x, f.birth, f.death) for f in s.features],
-                   dtype=float).reshape(-1, 3)
-    pers = pts[:, 1] - pts[:, 2]
-    return pts, np.where(np.isinf(pers), math.inf, pers / 2.0)
+    # peaks carry the mass, the diagonal plane is the slack locus; on Python
+    # floats, inf - inf is NaN without a RuntimeWarning
+    return _split([(f.x, f.birth, f.death, (f.birth - f.death) / 2.0)
+                   for f in s.features], 4, 3)
 
 
 def _rpt_points(s: RPTSet) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.array([(f.x, f.persistence) for f in s.features],
-                   dtype=float).reshape(-1, 2)
-    return pts, pts[:, 1]
+    return _split([(f.x, f.persistence) for f in s.features], 2, 2)
 
 
 def _pd_points(s: PDSet) -> tuple[np.ndarray, np.ndarray]:
-    pts = np.array([(q.birth, q.death) for q in s.points],
-                   dtype=float).reshape(-1, 2)
-    return pts, np.where(np.isinf(pts).any(axis=1), math.inf,
-                         (pts[:, 0] - pts[:, 1]) / 2.0)
+    return _split([(q.birth, q.death, (q.birth - q.death) / 2.0)
+                   for q in s.points], 3, 2)
 
 
 _POINTERS = {PTSet: _pt_points, RPTSet: _rpt_points, PDSet: _pd_points}
@@ -188,28 +197,56 @@ _POINTERS = {PTSet: _pt_points, RPTSet: _rpt_points, PDSet: _pd_points}
 TransformSet = Union[PTSet, RPTSet, PDSet]
 
 
-def _cost_matrix(pa: np.ndarray, sa: np.ndarray, pb: np.ndarray,
-                 sb: np.ndarray, slack: str) -> np.ndarray:
-    """``sup_dist`` matrix, built one coordinate at a time, padded with zero
-    points (``pad-origin``) or bordered by the slack costs (``diagonal``)."""
-    n, m = len(pa), len(pb)
-    if slack == PAD_ORIGIN:
-        n = m = max(n, m)
-        pa, pb = (np.concatenate([q, np.zeros((n - len(q), q.shape[1]))])
-                  for q in (pa, pb))
-        raw = block = np.zeros((n, n))
-    else:
-        raw = np.full((n + m, n + m), math.inf)
-        raw[np.arange(n), m + np.arange(n)] = sa
-        raw[n + np.arange(m), np.arange(m)] = sb
-        raw[n:, m:] = raw[:n, :m] = 0.0
-        block = raw[:n, :m]
+def _sup_block(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """``sup_dist`` of every row pair of ``pa`` and ``pb``, by coordinate."""
+    block = np.zeros((len(pa), len(pb)))
     for u, v in zip(pa.T, pb.T):
         u = u[:, None]
         # equal coordinates, equal infinities included, contribute nothing
-        diff = np.subtract(u, v, out=np.zeros((n, m)), where=u != v)
+        diff = np.subtract(u, v, out=np.zeros(block.shape), where=u != v)
         np.maximum(block, np.abs(diff, out=diff), out=block)
+    return block
+
+
+def _bordered(block, sa, sb, diag_block) -> np.ndarray:
+    """``block`` bordered by the slacks; ``diag_block`` pairs the copies."""
+    n, m = block.shape
+    raw = np.full((n + m, n + m), math.inf)
+    raw[:n, :m] = block
+    raw[np.arange(n), m + np.arange(n)] = sa
+    raw[n + np.arange(m), np.arange(m)] = sb
+    raw[n:, m:] = diag_block
     return raw
+
+
+def _cost_matrix(pa: np.ndarray, sa: np.ndarray, pb: np.ndarray,
+                 sb: np.ndarray, slack: str) -> np.ndarray:
+    """``sup_dist`` matrix padded with zero points (``pad-origin``) or
+    bordered by the slack costs (``diagonal``)."""
+    if slack == PAD_ORIGIN:
+        n = max(len(pa), len(pb))
+        return _sup_block(*(np.concatenate([q, np.zeros((n - len(q),
+                                                         q.shape[1]))])
+                            for q in (pa, pb)))
+    return _bordered(_sup_block(pa, pb), sa, sb, 0.0)
+
+
+def _pruned_matrix(pa, sa, pb, sb, p: float) -> tuple[np.ndarray, list]:
+    """The pruned diagonal-slack matrix and the dropped points' slacks.  The
+    rule is taken relative to ``t = max(s_i, s_j)``, so no power overflows."""
+    c = _sup_block(pa, pb)
+    t = np.maximum.outer(sa, sb)
+    keep = (c <= t) & np.isfinite(c)
+    if not math.isinf(p):  # c^p <= 2 t^p, so only t < c <= 2^(1/p) t is open
+        i, j = np.nonzero((c > t) & (c / 2.0 ** (1.0 / p) <= t))
+        s, u = np.minimum(sa[i], sb[j]), t[i, j]
+        keep[i, j] = (c[i, j] / u) ** p <= 1.0 + (s / u) ** p
+    rows = keep.any(axis=1) | np.isinf(sa)
+    cols = keep.any(axis=0) | np.isinf(sb)
+    c = np.where(keep, c, math.inf)[rows][:, cols]
+    zero_at_kept = np.where(c.T < math.inf, 0.0, math.inf)
+    return (_bordered(c, sa[rows], sb[cols], zero_at_kept),
+            sa[~rows].tolist() + sb[~cols].tolist())
 
 
 def wasserstein(A: TransformSet, B: TransformSet, p: float = 2.0,
@@ -220,7 +257,7 @@ def wasserstein(A: TransformSet, B: TransformSet, p: float = 2.0,
     ``slack="diagonal"`` lets unmatched points pay their distance to the
     nearest zero-persistence representative; ``slack="pad-origin"`` pads the
     smaller multiset with the all-zero point, mirroring the rank matching's
-    padding.
+    padding.  NaN points or slacks, or negative diagonal slack: ValueError.
 
     Finite p matches on ``(M / top) ** p``, ``top`` the largest finite cost:
     no power overflows into a spurious infinity, and scaling keeps the
@@ -236,10 +273,13 @@ def wasserstein(A: TransformSet, B: TransformSet, p: float = 2.0,
     if slack not in (DIAGONAL, PAD_ORIGIN):
         raise ValueError(f"unknown slack policy {slack!r}")
     (pa, sa), (pb, sb) = map(_POINTERS[type(A)], (A, B))
-    raw = _cost_matrix(pa, sa, pb, sb, slack)
+    if slack == DIAGONAL and ((sa < 0).any() or (sb < 0).any()):
+        raise ValueError("diagonal slack must not be negative")
+    raw, costs = (_pruned_matrix(pa, sa, pb, sb, p) if slack == DIAGONAL
+                  else (_cost_matrix(pa, sa, pb, sb, slack), []))
     try:
         if math.isinf(p):
-            cost = solve_assignment(raw, objective="bottleneck").cost
+            costs.append(solve_assignment(raw, objective="bottleneck").cost)
         else:
             top = raw.max(where=np.isfinite(raw), initial=0.0) or 1.0
             least = raw.min(where=raw > 0, initial=math.inf)
@@ -250,9 +290,8 @@ def wasserstein(A: TransformSet, B: TransformSet, p: float = 2.0,
             scaled = np.divide(raw, scale)
             with np.errstate(over="ignore"):
                 np.power(scaled, p, out=scaled)
-            pairs = solve_assignment(scaled).pairs
-            cost = _aggregate([raw[ij] for ij in pairs], p)
+            costs += [raw[ij] for ij in solve_assignment(scaled).pairs]
     except InfeasibleError:
         raise UnmatchableInfinityError(
             "an infinite-coordinate point has no admissible partner") from None
-    return cost
+    return _aggregate(costs, p)

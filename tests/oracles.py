@@ -3,17 +3,22 @@
 These deliberately take different routes than the production code: the
 CSV oracle parses one line at a time, the extraction oracle walks the
 samples one by one, the pairing oracle sweeps a densely interpolated sample
-sequence, the diagram oracle is derived from that sweep, and the
-assignment/matching oracles enumerate permutations.
+sequence, the diagram oracle is derived from that sweep, the
+assignment/matching oracles enumerate permutations, and the dense
+Wasserstein oracle solves the full diagonal-bordered matrix unpruned.
 """
 from __future__ import annotations
 
 import itertools
 import math
 
+import numpy as np
+
 from morsepeak.core import (CriticalPoint, EmptyInputError, Kind, MorseSet,
                             colex_lt)
-from morsepeak.metrics import sup_dist
+from morsepeak.metrics import (_POINTERS, InfeasibleError,
+                               UnmatchableInfinityError, _aggregate,
+                               _cost_matrix, solve_assignment, sup_dist)
 
 
 def read_csv_reference(text: str) -> list[tuple[tuple[float, float], ...]]:
@@ -220,3 +225,25 @@ def morse_distance_direct(K: MorseSet, L: MorseSet, p: float) -> float:
     if any(math.isinf(c) for c in costs):
         return math.inf
     return math.fsum(c ** p for c in costs) ** (1 / p)
+
+
+def dense_wasserstein(A, B, p: float) -> float:
+    """Diagonal-slack Wasserstein distance from one solve of the full
+    ``(n+m)^2`` bordered matrix, with the same scale-safe powers as the
+    library but no pruning."""
+    (pa, sa), (pb, sb) = map(_POINTERS[type(A)], (A, B))
+    raw = _cost_matrix(pa, sa, pb, sb, "diagonal")
+    try:
+        if math.isinf(p):
+            return solve_assignment(raw, objective="bottleneck").cost
+        top = raw.max(where=np.isfinite(raw), initial=0.0) or 1.0
+        least = raw.min(where=raw > 0, initial=math.inf)
+        scale = top if (least / top) ** p > 0 else max(
+            solve_assignment(raw, objective="bottleneck").cost, least)
+        scaled = np.divide(raw, scale)
+        with np.errstate(over="ignore"):
+            np.power(scaled, p, out=scaled)
+        pairs = solve_assignment(scaled).pairs
+        return _aggregate([raw[ij] for ij in pairs], p)
+    except InfeasibleError:
+        raise UnmatchableInfinityError("no admissible partner") from None

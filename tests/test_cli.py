@@ -259,6 +259,32 @@ class TestDistance:
         code, _, _ = run(capsys, "distance", e1_csv, e1_csv, "--p", "0.5")
         assert code == 2
 
+    # an even power used to hide the sign of a negative slack at p = 2
+    MALFORMED = {
+        "rpt-negative": ("rpt", '{"features": [[1.0, -2.0], [3.0, 1.0]]}',
+                         '{"features": [[50.0, 2.0]]}'),
+        "rpt-nan": ("rpt", '{"features": [[1.0, NaN], [3.0, 1.0]]}',
+                    '{"features": [[50.0, 2.0]]}'),
+        "pt-birth-below-death": (
+            "pt", '{"features": [[1.0, 1.0, 3.0]], "diagonal": []}',
+            '{"features": [[5.0, 2.0, 1.0]], "diagonal": []}'),
+        "pt-minus-infinity-birth": (
+            "pt", '{"features": [[1.0, -Infinity, null], [2.0, 4.0, 1.0]],'
+                  ' "diagonal": []}',
+            '{"features": [[5.0, 2.0, 1.0]], "diagonal": []}'),
+    }
+
+    @pytest.mark.parametrize("p", ["1", "2", "inf"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_slack_exit_2(self, capsys, tmp_path, case, p):
+        kind, a, b = self.MALFORMED[case]
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        fa.write_text(a)
+        fb.write_text(b)
+        code, out, err = run(capsys, "distance", str(fa), str(fb),
+                             "--kind", kind, "--p", p)
+        assert (code, out) == (2, "") and err.startswith("morsepeak: ")
+
 
 class TestStability:
     def test_report_and_exit_code(self, capsys, tmp_path):

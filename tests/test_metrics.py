@@ -1,19 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from morsepeak import (DIAGONAL, PAD_ORIGIN, GenParams, KindMismatchError,
-                       MorseSet, PDSet, PTSet, RPTFeature, RPTSet,
-                       UnmatchableInfinityError,
-                       morse_distance, perturb, persistence_transformation,
-                       random_morse_set, reduced_persistence_transformation,
-                       solve_assignment, sup_dist, to_persistence_diagram,
-                       wasserstein)
+from morsepeak import (DIAGONAL, PAD_ORIGIN, ConstantSegmentError, GenParams,
+                       KindMismatchError, MorseSet, PDSet, PTFeature, PTSet,
+                       RPTFeature, RPTSet, UnmatchableInfinityError,
+                       extract_critical_points, join_pt, morse_distance,
+                       perturb, persistence_transformation, random_morse_set,
+                       reduced_persistence_transformation, solve_assignment,
+                       sup_dist, to_persistence_diagram, wasserstein)
+from morsepeak import metrics
 from morsepeak.metrics import (_cost_matrix, _pd_points, _pt_points,
                                _rpt_points, InfeasibleError)
 from oracles import (brute_force_assignment, brute_force_wasserstein,
-                     morse_distance_direct)
+                     dense_wasserstein, morse_distance_direct)
 
 INF = math.inf
 
@@ -355,8 +358,9 @@ class TestWasserstein:
                                   if not math.isinf(f.death)), pt.diagonal)
         with pytest.raises(UnmatchableInfinityError):
             wasserstein(pt, finite_only, 2, PAD_ORIGIN)
-        with pytest.raises(UnmatchableInfinityError):
-            wasserstein(pt, finite_only, INF, DIAGONAL)
+        for p in (1, 2, INF):
+            with pytest.raises(UnmatchableInfinityError):
+                wasserstein(pt, finite_only, p, DIAGONAL)
 
     def test_pad_origin_essential_pairs_with_essential(self, e1):
         # two sets with one essential peak each: distance stays finite
@@ -374,3 +378,119 @@ class TestWasserstein:
         pt = persistence_transformation(e1)
         with pytest.raises(ValueError):
             wasserstein(pt, pt, 2, "nearest")
+
+    @pytest.mark.parametrize("slack", [DIAGONAL, PAD_ORIGIN])
+    def test_nan_points_rejected(self, slack):
+        ok = PTSet((PTFeature(1.0, 3.0, 1.0),), ())
+        for bad in (PTSet((PTFeature(math.nan, 3.0, 1.0),), ()),
+                    # -inf birth and -inf death: the persistence is NaN
+                    PTSet((PTFeature(1.0, -INF, -INF),), ())):
+            for p in (1, 2, INF):
+                with pytest.raises(ValueError, match="NaN"):
+                    wasserstein(bad, ok, p, slack)
+                with pytest.raises(ValueError, match="NaN"):
+                    wasserstein(ok, bad, p, slack)
+
+    def test_negative_diagonal_slack_rejected(self):
+        ok = RPTSet((RPTFeature(50.0, 2.0),))
+        negative = RPTSet((RPTFeature(1.0, -2.0), RPTFeature(3.0, 1.0)))
+        for bad in (negative, RPTSet((RPTFeature(1.0, -INF),))):
+            for p in (1, 2, INF):
+                with pytest.raises(ValueError, match="negative"):
+                    wasserstein(bad, ok, p, DIAGONAL)
+        # pad-origin never uses the slack: (1, -2) to the origin at 2,
+        # (3, 1) to (50, 2) at 47
+        assert wasserstein(negative, ok, 2, PAD_ORIGIN) == \
+            pytest.approx(math.hypot(2, 47))
+
+
+GRID_P = (1, 2, 3.5, 60, 1000, INF)
+
+
+def kinds_of(pt: PTSet):
+    """The PT, RPT and PD sets of the peaks of ``pt``."""
+    rpt = RPTSet(tuple(RPTFeature(f.x, f.persistence) for f in pt.features))
+    return pt, rpt, to_persistence_diagram(pt)
+
+
+@st.composite
+def grid_pts(draw):
+    """A joined PT of up to three quantized walks (one essential peak each),
+    optionally without its essentials and shifted far along x."""
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
+        moves = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)),
+                              min_size=1, max_size=12))
+        x = itertools.accumulate(gap for gap, _ in moves)
+        y = itertools.accumulate(0.5 * step for _, step in moves)
+        try:
+            ms = extract_critical_points([(0.0, 0.0)] + list(zip(x, y)))[0]
+        except ConstantSegmentError:
+            continue
+        parts.append(persistence_transformation(ms))
+    pt = join_pt(parts)
+    if draw(st.booleans()):
+        pt = PTSet(tuple(f for f in pt.features if f.death > -INF), ())
+    shift = draw(st.sampled_from([0.0, 0.0, 1000.0]))
+    return PTSet(tuple(PTFeature(f.x + shift, f.birth, f.death)
+                       for f in pt.features), ())
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestPrunedMatching:
+    """The pruned diagonal-slack matching against the full dense matrix."""
+
+    @given(grid_pts(), grid_pts())
+    def test_matches_dense_oracle(self, pa, pb):
+        for A, B in zip(kinds_of(pa), kinds_of(pb)):
+            for p in GRID_P:
+                got = outcome(wasserstein, A, B, p, DIAGONAL)
+                want = outcome(dense_wasserstein, A, B, p)
+                if isinstance(want, float):
+                    assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+                else:
+                    assert got is want
+
+    @staticmethod
+    def spectrum_pts(peaks: int = 200, seed: int = 3) -> tuple[PTSet, PTSet]:
+        """Two jittered copies of a 24-bump template with a ripple, each
+        with exactly ``peaks`` maxima."""
+        rng = np.random.default_rng(seed)
+        centres, widths = rng.uniform(50, 950, 24), rng.uniform(5, 25, 24)
+        heights = rng.uniform(2, 20, 24)
+        out = []
+        for _ in range(2):
+            c = centres + rng.normal(0, 3, 24)
+            h = heights * rng.uniform(0.8, 1.2, 24)
+            x = np.linspace(0, 1000, 2 * peaks + 1)
+            y = (h * np.exp(-0.5 * ((x[:, None] - c) / widths) ** 2)).sum(1)
+            y += rng.uniform(0.05, 1.0, x.size)
+            for k in range(0, x.size, 2):  # minima below both neighbours
+                y[k] = y[max(k - 1, 0):k + 2].min() - rng.uniform(0.05, 1.0)
+            ms = extract_critical_points(list(zip(x.tolist(), y.tolist())))[0]
+            assert len(ms.maxima) == peaks
+            out.append(persistence_transformation(ms))
+        return tuple(out)
+
+    def test_exact_and_pruned_at_benchmark_size(self, monkeypatch):
+        pa, pb = self.spectrum_pts()
+        for A, B in zip(kinds_of(pa), kinds_of(pb)):
+            for p in (1, 2, INF):
+                assert wasserstein(A, B, p, DIAGONAL) == \
+                    pytest.approx(dense_wasserstein(A, B, p), rel=1e-9)
+        cells = []
+
+        def spy(cost, objective="sum"):
+            cells.append(np.asarray(cost).size)
+            return solve_assignment(cost, objective)
+
+        monkeypatch.setattr(metrics, "solve_assignment", spy)
+        wasserstein(pa, pb, 2, DIAGONAL)
+        n = len(pa.features) + len(pb.features)
+        assert cells and sum(cells) < n * n / 4
