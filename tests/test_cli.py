@@ -149,6 +149,10 @@ GOLDEN_CASES = {
                   "--clip-essential", "-o", "{out}/rpt_clip.csv"],
                  ("rpt_clip.csv",)),
     "pd": (["transform", "--kind", "pd", "-o", "{out}/pd.json"], ("pd.json",)),
+    "rpt-svg": (["transform", "--kind", "rpt", "--svg", "{out}/rpt.svg",
+                 "-o", "{out}/rpt.json"], ("rpt.svg",)),
+    "pd-svg": (["transform", "--kind", "pd", "--svg", "{out}/pd.svg",
+                "-o", "{out}/pd.json"], ("pd.json", "pd.svg")),
     "extract": (["extract", "-o", "{out}/extract.json"], ("extract.json",)),
 }
 
