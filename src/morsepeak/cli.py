@@ -12,7 +12,6 @@ import os
 import sys
 from contextlib import contextmanager
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 
 from . import plots
@@ -131,15 +130,10 @@ def cmd_transform(args) -> int:
 
 
 def _to_csv(result) -> str:
-    if isinstance(result, PTSet):
-        cols, rows = ("x", "birth", "death"), result.features + result.diagonal
-    elif isinstance(result, RPTSet):
-        cols, rows = ("x", "persistence"), result.features
-    else:
-        cols, rows = ("birth", "death"), result.points
-    fmt = ",".join(["%.12g"] * len(cols))  # writes ±∞ as inf/-inf
-    lines = map(fmt.__mod__, map(attrgetter(*cols), rows))
-    return "\n".join(chain([",".join(cols)], lines)) + "\n"
+    rows = result.table()
+    line = ",".join(["%.12g"] * rows.shape[1])  # writes ±∞ as inf/-inf
+    return ("\n".join([",".join(result.columns)] + [line] * len(rows))
+            % tuple(rows.ravel().tolist()) + "\n")
 
 
 def _load_transform(text: str, kind: str, name: str):

@@ -61,7 +61,23 @@ def colex_lt(p: CriticalPoint, q: CriticalPoint) -> bool:
     return p.colex_key() < q.colex_key()
 
 
-class MorseSet:
+class _Frozen:
+    """An immutable value held in read-only arrays; ``==`` and ``hash``
+    compare the values ``_values()`` lists."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            map(np.array_equal, self._values(), other._values()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(tuple(np.ravel(v).tolist()) for v in self._values()))
+
+
+class MorseSet(_Frozen):
     """Maxima and minima over a closed interval, held as read-only arrays.
 
     ``xs``, ``ys`` and ``is_max`` list the points in x order (at equal x,
@@ -82,9 +98,6 @@ class MorseSet:
             arr.flags.writeable = False
         self.__dict__.update(xs=xs, ys=ys, is_max=is_max, _memo={},
                              domain=(float(domain[0]), float(domain[1])))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"MorseSet is immutable; cannot set {name!r}")
 
     @classmethod
     def build(cls, maxima: Iterable, minima: Iterable,
@@ -110,14 +123,8 @@ class MorseSet:
         """The :func:`validate` report of this set, computed once."""
         return self.memo("report", validate)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, MorseSet) and self.domain == other.domain
-                and all(np.array_equal(getattr(self, a), getattr(other, a))
-                        for a in ("xs", "ys", "is_max")))
-
-    def __hash__(self) -> int:
-        return hash((self.domain, *self.xs.tolist(), *self.ys.tolist(),
-                     self.is_max.tobytes()))
+    def _values(self) -> tuple:
+        return self.domain, self.xs, self.ys, self.is_max
 
     def __repr__(self) -> str:
         return (f"MorseSet(maxima={self.maxima!r}, minima={self.minima!r}, "
@@ -166,7 +173,7 @@ class MorseSet:
 
     def xy(self, order: np.ndarray) -> np.ndarray:
         """Positions and values of the points ``order`` indexes, as rows."""
-        return np.column_stack((self.xs[order], self.ys[order]))
+        return np.array((self.xs[order], self.ys[order])).T
 
     def to_json_dict(self) -> dict:
         return {

@@ -168,33 +168,22 @@ def morse_distance(K: MorseSet, L: MorseSet, p: float = 2.0) -> float:
 # Wasserstein / bottleneck on transform outputs
 
 
-def _split(rows: list, width: int, dims: int):
-    """Points (first ``dims`` columns) and slacks (last column); NaN raises."""
-    a = np.array(rows, dtype=float).reshape(-1, width)
-    if np.isnan(a).any():
-        raise ValueError("transform point or slack is NaN")
-    return a[:, :dims], a[:, -1]
-
-
-def _pt_points(s: PTSet) -> tuple[np.ndarray, np.ndarray]:
-    # peaks carry the mass, the diagonal plane is the slack locus; on Python
-    # floats, inf - inf is NaN without a RuntimeWarning
-    return _split([(f.x, f.birth, f.death, (f.birth - f.death) / 2.0)
-                   for f in s.features], 4, 3)
-
-
-def _rpt_points(s: RPTSet) -> tuple[np.ndarray, np.ndarray]:
-    return _split([(f.x, f.persistence) for f in s.features], 2, 2)
-
-
-def _pd_points(s: PDSet) -> tuple[np.ndarray, np.ndarray]:
-    return _split([(q.birth, q.death, (q.birth - q.death) / 2.0)
-                   for q in s.points], 3, 2)
-
-
-_POINTERS = {PTSet: _pt_points, RPTSet: _rpt_points, PDSet: _pd_points}
-
 TransformSet = Union[PTSet, RPTSet, PDSet]
+
+
+def _points(s: TransformSet) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``s`` and their slacks, the sup-norm distance to the
+    zero-persistence locus: the RPT persistence, or (birth - death) / 2 for
+    PT and PD, halved first so it cannot overflow.  NaN raises."""
+    a = s.array
+    if isinstance(s, RPTSet):
+        slack = a[:, 1]
+    else:  # an infinite birth minus an equal death is NaN, raised below
+        with np.errstate(invalid="ignore"):
+            slack = a[:, -2] / 2.0 - a[:, -1] / 2.0
+    if np.isnan(a).any() or np.isnan(slack).any():
+        raise ValueError("transform point or slack is NaN")
+    return a, slack
 
 
 def _sup_block(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -272,7 +261,7 @@ def wasserstein(A: TransformSet, B: TransformSet, p: float = 2.0,
             f"cannot compare {type(A).__name__} with {type(B).__name__}")
     if slack not in (DIAGONAL, PAD_ORIGIN):
         raise ValueError(f"unknown slack policy {slack!r}")
-    (pa, sa), (pb, sb) = map(_POINTERS[type(A)], (A, B))
+    (pa, sa), (pb, sb) = _points(A), _points(B)
     if slack == DIAGONAL and ((sa < 0).any() or (sb < 0).any()):
         raise ValueError("diagonal slack must not be negative")
     raw, costs = (_pruned_matrix(pa, sa, pb, sb, p) if slack == DIAGONAL

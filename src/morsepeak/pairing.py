@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import CriticalPoint, MorseSet, require_valid
+from .core import CriticalPoint, MorseSet, _Frozen, require_valid
 
 
 def elder_key(p: CriticalPoint) -> tuple[float, float]:
@@ -152,40 +154,9 @@ class PTFeature:
 
 
 @dataclass(frozen=True)
-class PTSet:
-    features: tuple[PTFeature, ...]
-    diagonal: tuple[PTFeature, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "features": [[f.x, _enc(f.birth), _enc(f.death)] for f in self.features],
-            "diagonal": [[f.x, f.birth] for f in self.diagonal],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PTSet":
-        feats = tuple(PTFeature(x, _dec(b, math.inf), _dec(dd, -math.inf))
-                      for x, b, dd in d["features"])
-        diag = tuple(PTFeature(x, y, y) for x, y in d["diagonal"])
-        return cls(feats, diag)
-
-
-@dataclass(frozen=True)
 class RPTFeature:
     x: float
     persistence: float
-
-
-@dataclass(frozen=True)
-class RPTSet:
-    features: tuple[RPTFeature, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"features": [[f.x, _enc(f.persistence)] for f in self.features]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RPTSet":
-        return cls(tuple(RPTFeature(x, _dec(p, math.inf)) for x, p in d["features"]))
 
 
 @dataclass(frozen=True)
@@ -194,54 +165,129 @@ class PDPoint:
     death: float
 
 
-@dataclass(frozen=True)
-class PDSet:
-    points: tuple[PDPoint, ...]
+class _PointSet(_Frozen):
+    """A transform output as read-only float arrays, one row per point.
+
+    ``columns`` names the columns of ``array``.  Each ``_ARRAYS`` entry is
+    (attribute, JSON key, fields, nulls).  The constructor takes, per entry,
+    row objects or an array with a column per field.  JSON writes ±inf as
+    null in the columns whose ``nulls`` entry is not None, and reads null as
+    that entry (None as NaN).  The JSON key also names the tuple of row
+    objects API users read, built on first use.
+    """
+
+    columns: tuple[str, ...] = ()
+    _ARRAYS: tuple = ()
+
+    def __init__(self, *parts):
+        for (attr, _, fields, _), rows in zip(self._ARRAYS, parts, strict=True):
+            if not isinstance(rows, np.ndarray):
+                rows = list(map(attrgetter(*fields), rows))
+            a = np.array(rows, dtype=float).reshape(len(rows), len(fields))
+            a.flags.writeable = False
+            self.__dict__[attr] = a
+
+    def _values(self) -> list[np.ndarray]:
+        return [self.__dict__[attr] for attr, *_ in self._ARRAYS]
+
+    def __repr__(self) -> str:
+        views = tuple(getattr(self, key) for _, key, *_ in self._ARRAYS)
+        return f"{type(self).__name__}{views!r}"
+
+    def table(self) -> np.ndarray:
+        """Every point as a row under ``columns``."""
+        return self.array
 
     def to_json_dict(self) -> dict:
-        return {"points": [[_enc(p.birth), _enc(p.death)] for p in self.points]}
+        return {key: np.where(np.isinf(a) & np.not_equal(nulls, None), None,
+                              a).tolist()
+                for (_, key, _, nulls), a in zip(self._ARRAYS, self._values())}
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "PDSet":
-        return cls(tuple(PDPoint(_dec(b, math.inf), _dec(dd, -math.inf))
-                         for b, dd in d["points"]))
+    def from_json_dict(cls, d: dict):
+        return cls(*(_decode(d[key], nulls) for _, key, _, nulls in cls._ARRAYS))
 
 
-def _enc(v: float):
-    # JSON schema encodes the infinite values as null
-    return None if math.isinf(v) else v
+def _decode(rows, nulls: tuple) -> np.ndarray:
+    if any(len(r) != len(nulls) for r in rows):
+        raise TypeError(f"expected rows of {len(nulls)} numbers")
+    return np.array([[n if c is None else c for c, n in zip(r, nulls)]
+                     for r in rows], dtype=float).reshape(-1, len(nulls))
 
 
-def _dec(v, inf_as: float) -> float:
-    return inf_as if v is None else float(v)
+def _row_view(attr: str, row: type, cols=slice(None)) -> cached_property:
+    """Columns ``cols`` of the array ``attr`` as a tuple of ``row`` objects."""
+    return cached_property(lambda self: tuple(
+        map(row, *self.__dict__[attr][:, cols].T.tolist())))
 
 
-def _feature_sort_key(f) -> tuple[float, float]:
-    return (-f.persistence, f.x)
+class PTSet(_PointSet):
+    """The persistence transformation: ``array`` holds a row (x, birth,
+    death) per peak and ``diagonal_array`` a row (x, y) per minimum, which
+    lies on the diagonal plane.  ``PTSet(features, diagonal)`` takes
+    PTFeature rows or such arrays."""
+
+    columns = ("x", "birth", "death")
+    _ARRAYS = (("array", "features", columns, (None, math.inf, -math.inf)),
+               ("diagonal_array", "diagonal", ("x", "birth"), (None, None)))
+    features = _row_view("array", PTFeature)
+    diagonal = _row_view("diagonal_array", PTFeature, [0, 1, 1])
+
+    def table(self) -> np.ndarray:
+        """The features, then the diagonal points as rows (x, y, y)."""
+        return np.concatenate((self.array, self.diagonal_array[:, [0, 1, 1]]))
 
 
-def _peaks(ms: MorseSet) -> tuple[np.ndarray, ...]:
-    """Position, birth, death value and persistence of every peak."""
+class RPTSet(_PointSet):
+    """The reduced transformation: ``array`` holds a row (x, persistence)
+    per peak.  ``RPTSet(features)`` takes RPTFeature rows or such an
+    array."""
+
+    columns = ("x", "persistence")
+    _ARRAYS = (("array", "features", columns, (None, math.inf)),)
+    features = _row_view("array", RPTFeature)
+
+
+class PDSet(_PointSet):
+    """The persistence diagram: ``array`` holds a row (birth, death) per
+    peak.  ``PDSet(points)`` takes PDPoint rows or such an array."""
+
+    columns = ("birth", "death")
+    _ARRAYS = (("array", "points", columns, (math.inf, -math.inf)),)
+    points = _row_view("array", PDPoint)
+
+
+def _persistence(rows: np.ndarray) -> np.ndarray:
+    """birth - death of (x, birth, death) rows, warning-free like floats."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rows[:, 1] - rows[:, 2]
+
+
+def _by_persistence(rows: np.ndarray, pers: np.ndarray) -> np.ndarray:
+    """``rows`` by descending persistence, then position (column 0)."""
+    return rows[np.lexsort((rows[:, 0], -pers))]
+
+
+def _by_birth(rows: np.ndarray) -> np.ndarray:
+    """(birth, death) rows by descending birth, then descending death."""
+    return rows[np.lexsort((-rows[:, 1], -rows[:, 0]))]
+
+
+def _peaks(ms: MorseSet, clip: bool = False) -> tuple[np.ndarray, ...]:
+    """A row (position, birth, death value) per peak, and its persistence.
+    The essential peak dies at -inf, or at the global minimum if ``clip``."""
     d = _deaths(ms)[ms.is_max]
-    x, birth = ms.xs[ms.is_max], ms.ys[ms.is_max]
-    death = np.where(d < 0, -math.inf, ms.ys[d])
-    with np.errstate(over="ignore"):
-        return x, birth, death, birth - death
-
-
-def _rows(cls, x: np.ndarray, pers: np.ndarray, *cols: np.ndarray) -> tuple:
-    """``cls(x, *cols)`` rows by descending persistence, then position."""
-    o = np.lexsort((x, -pers))
-    return tuple(map(cls, x[o].tolist(), *(c[o].tolist() for c in cols)))
+    essential = ms.global_min_value() if clip else -math.inf
+    rows = np.array((ms.xs[ms.is_max], ms.ys[ms.is_max],
+                     np.where(d < 0, essential, ms.ys[d]))).T
+    return rows, _persistence(rows)
 
 
 def persistence_transformation(ms: MorseSet) -> PTSet:
     """Map each maximum to (position, birth, death); minima land on the
     diagonal plane.  Features are sorted by descending persistence."""
-    x, birth, death, pers = _peaks(ms)
-    y = ms.ys[ms.min_order].tolist()
-    diag = tuple(map(PTFeature, ms.xs[ms.min_order].tolist(), y, y))
-    return PTSet(_rows(PTFeature, x, pers, birth, death), diag)
+    rows, pers = _peaks(ms)
+    return PTSet(_by_persistence(rows, pers), ms.xy(ms.min_order))
 
 
 def reduced_persistence_transformation(ms: MorseSet,
@@ -252,52 +298,40 @@ def reduced_persistence_transformation(ms: MorseSet,
     set, in which case its death is clipped to the component's global minimum
     value so the output stays finite.
     """
-    x, birth, death, pers = _peaks(ms)
-    if clip_essential and x.size:
-        with np.errstate(over="ignore"):
-            clipped = birth - ms.global_min_value()
-        pers = np.where(np.isinf(death), clipped, pers)
-    return RPTSet(_rows(RPTFeature, x, pers, pers))
+    rows, pers = _peaks(ms, clip_essential)
+    return RPTSet(_by_persistence(np.array((rows[:, 0], pers)).T, pers))
 
 
 def to_persistence_diagram(pt: PTSet) -> PDSet:
     """Forget positions: project features to (birth, death) pairs.  Diagonal
     points are omitted; they form the diagram's diagonal."""
-    pts = sorted((PDPoint(f.birth, f.death) for f in pt.features),
-                 key=lambda p: (-p.birth, -p.death))
-    return PDSet(tuple(pts))
+    return PDSet(_by_birth(pt.array[:, 1:]))
 
 
 def denoise(pt: PTSet, tau: float) -> PTSet:
     """Keep features with persistence >= tau; drop the diagonal when tau > 0."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    feats = tuple(f for f in pt.features if f.persistence >= tau)
-    diag = pt.diagonal if tau == 0 else ()
-    return PTSet(feats, diag)
+    if not tau >= 0:
+        raise ValueError("tau must be a nonnegative number")
+    return PTSet(pt.array[_persistence(pt.array) >= tau],
+                 pt.diagonal_array if tau == 0 else ())
+
+
+def _stack(parts: list, attr: str, width: int) -> np.ndarray:
+    return np.concatenate([np.empty((0, width))]
+                          + [getattr(p, attr) for p in parts])
 
 
 def join_pt(parts: Iterable[PTSet]) -> PTSet:
-    feats: list[PTFeature] = []
-    diag: list[PTFeature] = []
-    for p in parts:
-        feats.extend(p.features)
-        diag.extend(p.diagonal)
-    feats.sort(key=_feature_sort_key)
-    return PTSet(tuple(feats), tuple(diag))
+    parts = list(parts)
+    rows = _stack(parts, "array", 3)
+    return PTSet(_by_persistence(rows, _persistence(rows)),
+                 _stack(parts, "diagonal_array", 2))
 
 
 def join_rpt(parts: Iterable[RPTSet]) -> RPTSet:
-    feats: list[RPTFeature] = []
-    for p in parts:
-        feats.extend(p.features)
-    feats.sort(key=_feature_sort_key)
-    return RPTSet(tuple(feats))
+    rows = _stack(list(parts), "array", 2)
+    return RPTSet(_by_persistence(rows, rows[:, 1]))
 
 
 def join_pd(parts: Iterable[PDSet]) -> PDSet:
-    pts: list[PDPoint] = []
-    for p in parts:
-        pts.extend(p.points)
-    pts.sort(key=lambda q: (-q.birth, -q.death))
-    return PDSet(tuple(pts))
+    return PDSet(_by_birth(_stack(list(parts), "array", 2)))

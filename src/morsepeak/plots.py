@@ -1,42 +1,46 @@
 """Deterministic static SVG plots for the transform outputs.
 
 Hand-rolled SVG text with fixed-precision coordinates so that identical
-inputs always yield byte-identical files.
+inputs always yield byte-identical files.  Pixel coordinates are computed
+on the sets' arrays, and each marker is a ``%`` template applied to a row.
 """
 from __future__ import annotations
 
-import math
-from typing import Sequence
+import numpy as np
 
 from .pairing import PDSet, PTSet, RPTSet
 
 WIDTH, HEIGHT, MARGIN = 640, 480, 48
+DOT = '<circle cx="%.2f" cy="%.2f" r="5.0" fill="#cc2222"/>'
+BOX = '<rect x="%.2f" y="%.2f" width="8" height="8" fill="#000000"/>'
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".2f")
-
-
-def _scale(values: Sequence[float]) -> tuple[float, float]:
-    finite = [v for v in values if not math.isinf(v)]
-    if not finite:
+def _scale(values: np.ndarray) -> tuple[float, float]:
+    finite = values[~np.isinf(values)]
+    if not finite.size:
         return 0.0, 1.0
-    lo, hi = min(finite), max(finite)
+    lo, hi = float(finite.min()), float(finite.max())
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     pad = 0.05 * (hi - lo)
     return lo - pad, hi + pad
 
 
-def _to_px(v: float, lo: float, hi: float, size: int, flip: bool) -> float:
-    t = (v - lo) / (hi - lo)
-    if flip:
-        t = 1.0 - t
-    return MARGIN + t * (size - 2 * MARGIN)
+def _to_px(v, lim: tuple[float, float], vertical: bool = False):
+    """Pixel coordinates of ``v`` across the plot, or up it if ``vertical``."""
+    t = (v - lim[0]) / (lim[1] - lim[0])
+    if vertical:
+        return MARGIN + (1.0 - t) * (HEIGHT - 2 * MARGIN)
+    return MARGIN + t * (WIDTH - 2 * MARGIN)
 
 
-def _header(title: str) -> list[str]:
-    return [
+def _xy(rows: np.ndarray, xlim, ylim) -> zip:
+    return zip(_to_px(rows[:, 0], xlim).tolist(),
+               _to_px(rows[:, 1], ylim, True).tolist())
+
+
+def _svg(title: str, marks: list[str]) -> str:
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
@@ -44,84 +48,54 @@ def _header(title: str) -> list[str]:
         f'font-size="14">{title}</text>',
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
         f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="#888"/>',
-    ]
+        *marks, "</svg>"]) + "\n"
 
 
-def _shade(value: float, lo: float, hi: float) -> str:
-    # darker = lower death value; the essential death maps to black
-    if math.isinf(value):
-        return "#000000"
-    t = 0.0 if hi == lo else (value - lo) / (hi - lo)
-    g = int(round(40 + 160 * t))
-    return f"#{g:02x}{g:02x}{g:02x}"
+def _shade(values: np.ndarray, lo: float, hi: float) -> list[int]:
+    # grey level: darker = lower death value; the essential death is black
+    t = (values - lo) / (hi - lo) if hi != lo else np.zeros_like(values)
+    return np.where(np.isinf(values), 0,
+                    np.round(40 + 160 * t)).astype(int).tolist()
+
+
+def _marks(cx: np.ndarray, cy: np.ndarray, boxed: np.ndarray) -> list[str]:
+    """A red dot at each point; a black box centred on it where ``boxed``."""
+    off = np.where(boxed, 4.0, 0.0)
+    return list(map(str.__mod__, [BOX if b else DOT for b in boxed.tolist()],
+                    zip((cx - off).tolist(), (cy - off).tolist())))
 
 
 def render_pt(pt: PTSet) -> str:
     """Position vs birth scatter; death encoded as the marker shade."""
-    xs = [f.x for f in pt.features] + [f.x for f in pt.diagonal]
-    ys = [f.birth for f in pt.features] + [f.birth for f in pt.diagonal]
-    deaths = [f.death for f in pt.features]
-    xlo, xhi = _scale(xs)
-    ylo, yhi = _scale(ys)
-    dlo, dhi = _scale(deaths)
-    lines = _header("persistence transformation")
-    for f in pt.diagonal:
-        cx = _to_px(f.x, xlo, xhi, WIDTH, False)
-        cy = _to_px(f.birth, ylo, yhi, HEIGHT, True)
-        lines.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2.5" '
-                     f'fill="#4466cc"/>')
-    for f in pt.features:
-        cx = _to_px(f.x, xlo, xhi, WIDTH, False)
-        cy = _to_px(f.birth, ylo, yhi, HEIGHT, True)
-        lines.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="5.0" '
-                     f'fill="{_shade(f.death, dlo, dhi)}" stroke="#cc2222"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    f, d = pt.array, pt.diagonal_array
+    xlim, ylim = (_scale(np.concatenate((f[:, i], d[:, i]))) for i in (0, 1))
+    shade = _shade(f[:, 2], *_scale(f[:, 2]))
+    return _svg("persistence transformation", [
+        *('<circle cx="%.2f" cy="%.2f" r="2.5" fill="#4466cc"/>' % xy
+          for xy in _xy(d, xlim, ylim)),
+        *('<circle cx="%.2f" cy="%.2f" r="5.0" fill="#%02x%02x%02x" '
+          'stroke="#cc2222"/>' % (*xy, g, g, g)
+          for xy, g in zip(_xy(f, xlim, ylim), shade))])
 
 
 def render_rpt(rpt: RPTSet) -> str:
     """Position vs persistence; infinite persistence clamps to the top edge."""
-    xs = [f.x for f in rpt.features]
-    ps = [f.persistence for f in rpt.features]
-    xlo, xhi = _scale(xs)
-    plo, phi = _scale([0.0] + ps)
-    lines = _header("reduced persistence transformation")
-    for f in rpt.features:
-        cx = _to_px(f.x, xlo, xhi, WIDTH, False)
-        if math.isinf(f.persistence):
-            cy = float(MARGIN)
-            mark = (f'<rect x="{_fmt(cx - 4)}" y="{_fmt(cy - 4)}" width="8" '
-                    f'height="8" fill="#000000"/>')
-        else:
-            cy = _to_px(f.persistence, plo, phi, HEIGHT, True)
-            mark = (f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="5.0" '
-                    f'fill="#cc2222"/>')
-        lines.append(mark)
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    x, p = rpt.array.T
+    inf = np.isinf(p)
+    cy = np.where(inf, MARGIN, _to_px(p, _scale(np.append(p, 0.0)), True))
+    return _svg("reduced persistence transformation",
+                _marks(_to_px(x, _scale(x)), cy, inf))
 
 
 def render_pd(pd: PDSet) -> str:
     """Birth vs death scatter with the diagonal; -inf deaths clamp left."""
-    births = [q.birth for q in pd.points]
-    deaths = [q.death for q in pd.points]
-    lo, hi = _scale(births + deaths + [0.0])
-    lines = _header("persistence diagram (upper levelset)")
-    x0 = _to_px(lo, lo, hi, WIDTH, False)
-    x1 = _to_px(hi, lo, hi, WIDTH, False)
-    y0 = _to_px(lo, lo, hi, HEIGHT, True)
-    y1 = _to_px(hi, lo, hi, HEIGHT, True)
-    lines.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
-                 f'y2="{_fmt(y1)}" stroke="#888" stroke-dasharray="4 3"/>')
-    for q in pd.points:
-        cy = _to_px(q.birth, lo, hi, HEIGHT, True)
-        if math.isinf(q.death):
-            cx = float(MARGIN)
-            lines.append(f'<rect x="{_fmt(cx - 4)}" y="{_fmt(cy - 4)}" '
-                         f'width="8" height="8" fill="#000000"/>')
-        else:
-            cx = _to_px(q.death, lo, hi, WIDTH, False)
-            lines.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="5.0" '
-                         f'fill="#cc2222"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    b, d = pd.array.T
+    lim = _scale(np.concatenate((b, d, [0.0])))
+    ends = np.array(lim)
+    (x0, x1), (y0, y1) = _to_px(ends, lim), _to_px(ends, lim, True)
+    inf = np.isinf(d)
+    return _svg("persistence diagram (upper levelset)", [
+        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
+        'stroke="#888" stroke-dasharray="4 3"/>',
+        *_marks(np.where(inf, MARGIN, _to_px(d, lim)), _to_px(b, lim, True),
+                inf)])

@@ -42,8 +42,9 @@ def random_morse_set(params: GenParams) -> MorseSet:
         raise ValueError("peak_count_range must be a nonempty range of ints >= 1")
     a, b = params.domain
     ylo, yhi = params.height_range
-    if not (a < b and ylo < yhi):
-        raise ValueError("domain and height_range must be nondegenerate")
+    if not (a < b and ylo < yhi and np.isfinite([a, b, ylo, yhi]).all()):
+        raise ValueError("domain and height_range must be finite and "
+                         "nondegenerate")
     rng = np.random.default_rng(params.seed)
     k = int(rng.integers(lo_k, hi_k + 1))
     n_interior = 2 * k - 1
@@ -77,8 +78,8 @@ def perturb_with_info(K: MorseSet, epsilon: float,
     order and passes validation, so cardinalities and structure survive; the
     applied fraction is reported.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and nonnegative")
     n = K.xs.size
     if epsilon == 0 or not n:
         return K, PerturbInfo(0.0)

@@ -3,9 +3,10 @@
 These deliberately take different routes than the production code: the
 CSV oracle parses one line at a time, the extraction oracle walks the
 samples one by one, the pairing oracle sweeps a densely interpolated sample
-sequence, the diagram oracle is derived from that sweep, the
-assignment/matching oracles enumerate permutations, and the dense
-Wasserstein oracle solves the full diagonal-bordered matrix unpruned.
+sequence, the diagram oracle is derived from that sweep, the transform
+rows are built one object at a time from it, the assignment/matching
+oracles enumerate permutations, and the dense Wasserstein oracle solves
+the full diagonal-bordered matrix unpruned.
 """
 from __future__ import annotations
 
@@ -16,9 +17,10 @@ import numpy as np
 
 from morsepeak.core import (CriticalPoint, EmptyInputError, Kind, MorseSet,
                             colex_lt)
-from morsepeak.metrics import (_POINTERS, InfeasibleError,
-                               UnmatchableInfinityError, _aggregate,
-                               _cost_matrix, solve_assignment, sup_dist)
+from morsepeak.metrics import (InfeasibleError, UnmatchableInfinityError,
+                               _aggregate, _cost_matrix, _points,
+                               solve_assignment, sup_dist)
+from morsepeak.pairing import PDPoint, PTFeature, RPTFeature
 
 
 def read_csv_reference(text: str) -> list[tuple[tuple[float, float], ...]]:
@@ -149,6 +151,35 @@ def sweep_diagram(ms: MorseSet) -> list[tuple[float, float]]:
     return sorted(out, key=lambda q: (-q[0], -q[1]))
 
 
+def transform_rows(ms: MorseSet, tau: float = 0.0,
+                   clip_essential: bool = False) -> dict[str, list]:
+    """The denoised PT features and diagonal, the PD points and the RPT
+    features of one Morse set, one row object at a time from the sweep
+    pairing, sorted with Python keys as the per-row transform code did."""
+    floor = min(m.y for m in ms.minima)
+    rows: dict[str, list] = {"pt": [], "rpt": []}
+    for m, d in sweep_pairing(ms).items():
+        death = -math.inf if d is None else d.y
+        rows["pt"].append(PTFeature(m.x, m.y, death))
+        rows["rpt"].append(RPTFeature(m.x, m.y - (
+            floor if d is None and clip_essential else death)))
+    rows["pt"] = [f for f in by_persistence(rows["pt"])
+                  if f.persistence >= tau]
+    rows["rpt"] = by_persistence(rows["rpt"])
+    rows["pd"] = by_birth(PDPoint(f.birth, f.death) for f in rows["pt"])
+    rows["diagonal"] = ([PTFeature(m.x, m.y, m.y) for m in ms.minima]
+                        if tau == 0 else [])
+    return rows
+
+
+def by_persistence(feats) -> list:
+    return sorted(feats, key=lambda f: (-f.persistence, f.x))
+
+
+def by_birth(points) -> list:
+    return sorted(points, key=lambda q: (-q.birth, -q.death))
+
+
 def quantified_alternation_ok(ms: MorseSet) -> bool:
     """Direct transcription of the betweenness form of the alternation axiom."""
     def holds(group, other, above: bool) -> bool:
@@ -231,7 +262,7 @@ def dense_wasserstein(A, B, p: float) -> float:
     """Diagonal-slack Wasserstein distance from one solve of the full
     ``(n+m)^2`` bordered matrix, with the same scale-safe powers as the
     library but no pruning."""
-    (pa, sa), (pb, sb) = map(_POINTERS[type(A)], (A, B))
+    (pa, sa), (pb, sb) = map(_points, (A, B))
     raw = _cost_matrix(pa, sa, pb, sb, "diagonal")
     try:
         if math.isinf(p):

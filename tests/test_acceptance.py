@@ -24,7 +24,7 @@ from morsepeak import (DIAGONAL, PAD_ORIGIN, GenParams, MorseSet,
                        pair_recursive, perturb, persistence_transformation,
                        random_morse_set, solve_assignment,
                        to_persistence_diagram, wasserstein)
-from morsepeak.metrics import InfeasibleError, _pt_points
+from morsepeak.metrics import InfeasibleError, _points as _pt_points
 from oracles import (brute_force_assignment, brute_force_wasserstein,
                      sweep_diagram, sweep_pairing)
 

@@ -88,6 +88,12 @@ class TestTransform:
         assert [f[0] for f in doc["features"]] == [3.0, 1.0]
         assert doc["diagonal"] == []
 
+    def test_nan_tau_exit_2(self, capsys, e1_csv):
+        code, out, err = run(capsys, "transform", e1_csv, "--kind", "pt",
+                             "--tau", "nan")
+        assert (code, out) == (2, "")
+        assert err == "morsepeak: tau must be a nonnegative number\n"
+
     def test_rpt_csv_inf_token(self, capsys, e1_csv):
         code, out, _ = run(capsys, "transform", e1_csv, "--kind", "rpt",
                            "--format", "csv")
@@ -312,6 +318,16 @@ class TestStability:
                          "--transform", "pt", "-o", str(multi))
         assert code == 0
         assert base.read_text() == multi.read_text()
+
+    @pytest.mark.parametrize("flag", [
+        ["--epsilon", "nan"], ["--epsilon", "inf"], ["--domain", "0", "inf"],
+        ["--heights", "0", "inf"]])
+    def test_non_finite_parameter_exit_2(self, capsys, tmp_path, flag):
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "stability", "--trials", "2",
+                             "-o", str(report), *flag)
+        assert (code, out) == (2, "") and not report.exists()
+        assert err.startswith("morsepeak: ") and "finite" in err
 
 
 class TestEntryPoint:

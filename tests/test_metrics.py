@@ -13,8 +13,9 @@ from morsepeak import (DIAGONAL, PAD_ORIGIN, ConstantSegmentError, GenParams,
                        reduced_persistence_transformation, solve_assignment,
                        sup_dist, to_persistence_diagram, wasserstein)
 from morsepeak import metrics
-from morsepeak.metrics import (_cost_matrix, _pd_points, _pt_points,
-                               _rpt_points, InfeasibleError)
+from morsepeak.metrics import (_cost_matrix, _points as _pd_points,
+                               _points as _pt_points,
+                               _points as _rpt_points, InfeasibleError)
 from oracles import (brute_force_assignment, brute_force_wasserstein,
                      dense_wasserstein, morse_distance_direct)
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from morsepeak import (GenParams, MorseSet, PDPoint, PDSet, PTFeature, PTSet,
@@ -7,6 +8,7 @@ from morsepeak import (GenParams, MorseSet, PDPoint, PDSet, PTFeature, PTSet,
                        pair, pair_recursive, persistence_transformation,
                        random_morse_set, reduced_persistence_transformation,
                        to_persistence_diagram)
+from morsepeak import join_pd, join_pt, join_rpt
 from oracles import sweep_diagram, sweep_pairing
 
 INF = math.inf
@@ -166,6 +168,83 @@ class TestDenoise:
                 kept = denoise(pt, tau).features
                 assert kept == tuple(f for f in pt.features
                                      if f.persistence >= tau)
+
+
+class TestPointSets:
+    """The transform sets hold read-only arrays; row objects are views."""
+
+    @pytest.fixture
+    def sets(self, e1):
+        pt = persistence_transformation(e1)
+        return pt, reduced_persistence_transformation(e1), \
+            to_persistence_diagram(pt)
+
+    def test_built_from_rows_equals_transform(self, sets):
+        pt, rpt, pd = sets
+        assert PTSet((PTFeature(3, 5, -INF), PTFeature(1, 3, 1),
+                      PTFeature(5, 2, 0.5)), pt.diagonal) == pt
+        assert RPTSet((RPTFeature(3, INF), RPTFeature(1, 2),
+                       RPTFeature(5, 1.5))) == rpt
+        assert PDSet((PDPoint(5, -INF), PDPoint(3, 1),
+                      PDPoint(2, 0.5))) == pd
+        assert PTSet(pt.array, pt.diagonal_array) == pt
+        assert pt.array.tolist() == [[3, 5, -INF], [1, 3, 1], [5, 2, 0.5]]
+        assert pt.diagonal_array.tolist() == [[0, 0], [6, 0], [4, 0.5],
+                                              [2, 1]]
+
+    def test_arrays_are_read_only(self, sets):
+        pt, rpt, pd = sets
+        for a in (pt.array, pt.diagonal_array, rpt.array, pd.array):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 7.0
+        with pytest.raises(AttributeError):
+            pt.array = rpt.array
+        rows = np.array(rpt.array)
+        built = RPTSet(rows)
+        rows[0, 0] = 7.0  # the set holds its own copy
+        assert built == rpt and not built.array.flags.writeable
+
+    def test_eq_and_hash(self, e1, sets):
+        pt, rpt, pd = sets
+        again = persistence_transformation(e1)
+        assert pt == again and hash(pt) == hash(again)
+        assert len({pt, again, PTSet(pt.features, pt.diagonal)}) == 1
+        assert PTSet(pt.features, ()) != pt  # the diagonal counts
+        assert RPTSet(pd.array) != pd  # same numbers, other kind
+        assert pd != pd.points
+
+    def test_join_of_no_parts_and_of_empty_parts(self):
+        for join, empty, width in ((join_pt, PTSet((), ()), 3),
+                                   (join_rpt, RPTSet(()), 2),
+                                   (join_pd, PDSet(()), 2)):
+            assert join([]) == join(iter([empty, empty])) == empty
+            assert join([]).array.shape == (0, width)
+        assert join_pt([]).diagonal_array.shape == (0, 2)
+
+    def test_join_keeps_every_part(self, e1, lone_peak):
+        pts = [persistence_transformation(m) for m in (e1, lone_peak)]
+        joined = join_pt(pts)
+        assert joined.features == tuple(sorted(
+            pts[0].features + pts[1].features,
+            key=lambda f: (-f.persistence, f.x)))
+        assert joined.diagonal == pts[0].diagonal + pts[1].diagonal
+
+    def test_json_nulls_in_value_columns_only(self):
+        pt = PTSet((PTFeature(INF, 1, -INF), PTFeature(2, INF, 1)),
+                   (PTFeature(0, INF, INF),))
+        assert pt.to_json_dict() == {"features": [[INF, 1, None],
+                                                  [2, None, 1]],
+                                     "diagonal": [[0, INF]]}
+        assert RPTSet((RPTFeature(-INF, INF),)).to_json_dict() == \
+            {"features": [[-INF, None]]}
+        assert PDSet((PDPoint(INF, -INF),)).to_json_dict() == \
+            {"points": [[None, None]]}
+        assert PDSet.from_json_dict({"points": [[None, None]]}) == \
+            PDSet((PDPoint(INF, -INF),))
+
+    def test_nan_tau(self, sets):
+        with pytest.raises(ValueError):
+            denoise(sets[0], math.nan)
 
 
 class TestTransformSerialization:

@@ -10,7 +10,10 @@ from morsepeak import (ConstantSegmentError, InvalidMorseSetError, MorseSet,
                        PTFeature, RPTFeature, extract_critical_points, pair,
                        pair_recursive, persistence_transformation,
                        reduced_persistence_transformation)
-from oracles import extract_reference, sweep_pairing
+from morsepeak import (PDSet, PTSet, RPTSet, denoise, join_pd, join_pt,
+                       join_rpt, to_persistence_diagram)
+from oracles import (by_birth, extract_reference, sweep_pairing,
+                     transform_rows)
 
 QUANTUM = 0.25
 
@@ -97,3 +100,23 @@ class TestQuantizedWalks:
             for _ in range(3):
                 with pytest.raises(InvalidMorseSetError):
                     pair(broken)
+
+    @given(walks(), walks(), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    def test_row_views_match_the_per_row_code(self, eps, a, b, tau):
+        sets = [ms for ms in (extracted(a, eps), extracted(b, eps))
+                if ms is not None]
+        want = [transform_rows(ms, tau) for ms in sets]
+        pts = [denoise(persistence_transformation(ms), tau) for ms in sets]
+        pt, pd = join_pt(pts), join_pd(map(to_persistence_diagram, pts))
+        assert pt.features == by_persistence(f for w in want for f in w["pt"])
+        assert pt.diagonal == tuple(d for w in want for d in w["diagonal"])
+        assert pd.points == tuple(by_birth(q for w in want for q in w["pd"]))
+        for clip in (False, True):
+            rpt = join_rpt(reduced_persistence_transformation(ms, clip)
+                           for ms in sets)
+            assert rpt.features == by_persistence(
+                f for ms in sets for f in transform_rows(ms, 0.0, clip)["rpt"])
+        assert (PTSet(pt.features, pt.diagonal), RPTSet(rpt.features),
+                PDSet(pd.points)) == (pt, rpt, pd)
+        for s in (pt, rpt, pd):
+            assert type(s).from_json_dict(s.to_json_dict()) == s

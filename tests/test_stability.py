@@ -38,6 +38,14 @@ class TestGenerator:
         with pytest.raises(ValueError):
             random_morse_set(GenParams(domain=(5.0, 5.0)))
 
+    @pytest.mark.parametrize("params", [
+        GenParams(domain=(0.0, math.inf)), GenParams(domain=(-math.inf, 0.0)),
+        GenParams(height_range=(0.0, math.inf)),
+        GenParams(height_range=(math.nan, 1.0))])
+    def test_non_finite_ranges(self, params):
+        with pytest.raises(ValueError, match="finite"):
+            random_morse_set(params)
+
 
 class TestPerturb:
     def test_within_budget_and_valid(self):
@@ -65,6 +73,12 @@ class TestPerturb:
         K = random_morse_set(GenParams(seed=3))
         with pytest.raises(ValueError):
             perturb(K, -0.1, 0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon(self, epsilon):
+        K = random_morse_set(GenParams(seed=3))
+        with pytest.raises(ValueError, match="finite"):
+            perturb_with_info(K, epsilon, 0)
 
     def test_bounds_morse_distance_when_ranks_survive(self):
         # all critical values are separated by more than 2*epsilon, so the
