@@ -15,13 +15,12 @@ from itertools import chain
 from pathlib import Path
 
 from . import plots
-from .core import (EmptyInputError, InvalidMorseSetError, MorseSet,
-                   NonMonotoneAbscissaError, extract_critical_points,
+from .core import (InvalidMorseSetError, MorseSet, extract_critical_points,
                    read_csv_series)
 from .metrics import (DIAGONAL, PAD_ORIGIN, KindMismatchError, morse_distance,
                       wasserstein)
-from .pairing import (PDSet, PTSet, RPTSet, denoise, join_pd, join_pt,
-                      join_rpt, persistence_transformation,
+from .pairing import (PDSet, PTSet, RPTSet, check_tau, denoise, join_pd,
+                      join_pt, join_rpt, persistence_transformation,
                       reduced_persistence_transformation,
                       to_persistence_diagram)
 from .stability import GenParams, reports_to_json, run_trials
@@ -55,16 +54,12 @@ def _parse_p(token: str) -> float:
     return p
 
 
-def _slack(token: str) -> str:
-    return {"diagonal": DIAGONAL, "pad-origin": PAD_ORIGIN}[token]
-
-
 @contextmanager
 def _json_shape(name: str):
     """JSON input of the wrong shape is an input error naming the input."""
     try:
         yield
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, OverflowError) as exc:
         source = "stdin" if name == "-" else name
         raise ValueError(f"{source}: JSON of the wrong shape ({exc})") from None
 
@@ -109,6 +104,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    check_tau(args.tau)  # for every kind, though it filters PT and PD only
     sets = _load_morse_sets(_read_input(args.input), args.plateau_eps,
                             args.input)
     if args.kind == "pt":
@@ -164,10 +160,12 @@ def cmd_stability(args) -> int:
                        height_range=tuple(args.heights),
                        seed=args.seed)
     transforms = ("pt", "rpt") if args.transform == "both" else (args.transform,)
-    workers = int(os.environ.get("MORSEPEAK_THREADS", "1") or "1")
+    threads = os.environ.get("MORSEPEAK_THREADS") or "1"
+    if not threads.strip().isdecimal():
+        raise ValueError(f"MORSEPEAK_THREADS={threads!r} is not a whole number")
     reports = run_trials(params, args.trials, epsilon=args.epsilon,
                          ps=tuple(args.p), transforms=transforms,
-                         slack=args.slack, max_workers=max(1, workers))
+                         slack=args.slack, max_workers=int(threads))
     _write_output(reports_to_json(reports), args.output)
     gated = [r for r in reports
              if r.slack == PAD_ORIGIN and r.equal_cardinality]
@@ -193,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("transform", help="Morse JSON or CSV -> PT/RPT/PD")
     tr.add_argument("input")
     tr.add_argument("--kind", choices=("pt", "rpt", "pd"), required=True)
-    tr.add_argument("--tau", type=float, default=0.0)
+    tr.add_argument("--tau", type=float, default=0.0,
+                    help="drop PT and PD features of persistence < TAU")
     tr.add_argument("--clip-essential", action="store_true")
     tr.add_argument("--plateau-eps", type=float, default=0.0)
     tr.add_argument("--svg", default=None, metavar="PATH")
@@ -207,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     di.add_argument("--kind", choices=("morse", "pt", "rpt", "pd"),
                     default="morse")
     di.add_argument("--p", type=_parse_p, default=2.0)
-    di.add_argument("--slack", type=_slack, choices=(DIAGONAL, PAD_ORIGIN),
+    di.add_argument("--slack", choices=(DIAGONAL, PAD_ORIGIN),
                     default=DIAGONAL)
     di.add_argument("--plateau-eps", type=float, default=0.0)
     di.set_defaults(func=cmd_distance)
@@ -219,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=[1.0, 2.0, math.inf])
     st.add_argument("--transform", choices=("pt", "rpt", "both"),
                     default="both")
-    st.add_argument("--slack", type=_slack, choices=(DIAGONAL, PAD_ORIGIN),
+    st.add_argument("--slack", choices=(DIAGONAL, PAD_ORIGIN),
                     default=PAD_ORIGIN)
     st.add_argument("--epsilon", type=float, default=0.1)
     st.add_argument("--peaks", type=int, nargs=2, default=[1, 10],
@@ -245,8 +244,7 @@ def main(argv=None) -> int:
     except KindMismatchError as exc:
         print(f"morsepeak: {exc}", file=sys.stderr)
         return EXIT_KIND
-    except (EmptyInputError, NonMonotoneAbscissaError, ValueError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"morsepeak: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

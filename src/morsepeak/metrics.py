@@ -197,29 +197,6 @@ def _sup_block(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return block
 
 
-def _bordered(block, sa, sb, diag_block) -> np.ndarray:
-    """``block`` bordered by the slacks; ``diag_block`` pairs the copies."""
-    n, m = block.shape
-    raw = np.full((n + m, n + m), math.inf)
-    raw[:n, :m] = block
-    raw[np.arange(n), m + np.arange(n)] = sa
-    raw[n + np.arange(m), np.arange(m)] = sb
-    raw[n:, m:] = diag_block
-    return raw
-
-
-def _cost_matrix(pa: np.ndarray, sa: np.ndarray, pb: np.ndarray,
-                 sb: np.ndarray, slack: str) -> np.ndarray:
-    """``sup_dist`` matrix padded with zero points (``pad-origin``) or
-    bordered by the slack costs (``diagonal``)."""
-    if slack == PAD_ORIGIN:
-        n = max(len(pa), len(pb))
-        return _sup_block(*(np.concatenate([q, np.zeros((n - len(q),
-                                                         q.shape[1]))])
-                            for q in (pa, pb)))
-    return _bordered(_sup_block(pa, pb), sa, sb, 0.0)
-
-
 def _pruned_matrix(pa, sa, pb, sb, p: float) -> tuple[np.ndarray, list]:
     """The pruned diagonal-slack matrix and the dropped points' slacks.  The
     rule is taken relative to ``t = max(s_i, s_j)``, so no power overflows."""
@@ -233,9 +210,16 @@ def _pruned_matrix(pa, sa, pb, sb, p: float) -> tuple[np.ndarray, list]:
     rows = keep.any(axis=1) | np.isinf(sa)
     cols = keep.any(axis=0) | np.isinf(sb)
     c = np.where(keep, c, math.inf)[rows][:, cols]
-    zero_at_kept = np.where(c.T < math.inf, 0.0, math.inf)
-    return (_bordered(c, sa[rows], sb[cols], zero_at_kept),
-            sa[~rows].tolist() + sb[~cols].tolist())
+    n, m = c.shape
+    raw = np.full((n + m, n + m), math.inf)
+    raw[:n, :m] = c
+    raw[np.arange(n), m + np.arange(n)] = sa[rows]
+    raw[n + np.arange(m), np.arange(m)] = sb[cols]
+    # copies pair at 0 only at transposes of kept edges: an all-0 block gives
+    # the same answer but a slower solve, 14.5 against 5.7-6.3 ms per
+    # diagram_matching op (RPT W2: 11.2 against 3.8 ms) on a 2-core Xeon
+    raw[n:, m:][np.isfinite(c.T)] = 0.0
+    return raw, sa[~rows].tolist() + sb[~cols].tolist()
 
 
 def wasserstein(A: TransformSet, B: TransformSet, p: float = 2.0,
@@ -264,8 +248,12 @@ def wasserstein(A: TransformSet, B: TransformSet, p: float = 2.0,
     (pa, sa), (pb, sb) = _points(A), _points(B)
     if slack == DIAGONAL and ((sa < 0).any() or (sb < 0).any()):
         raise ValueError("diagonal slack must not be negative")
-    raw, costs = (_pruned_matrix(pa, sa, pb, sb, p) if slack == DIAGONAL
-                  else (_cost_matrix(pa, sa, pb, sb, slack), []))
+    if slack == DIAGONAL:
+        raw, costs = _pruned_matrix(pa, sa, pb, sb, p)
+    else:  # zero rows pad the smaller set; np.pad is 10x slower on small sets
+        n = max(len(pa), len(pb))
+        raw, costs = _sup_block(*(np.concatenate(
+            [q, np.zeros((n - len(q), q.shape[1]))]) for q in (pa, pb))), []
     try:
         if math.isinf(p):
             costs.append(solve_assignment(raw, objective="bottleneck").cost)

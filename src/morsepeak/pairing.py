@@ -308,10 +308,15 @@ def to_persistence_diagram(pt: PTSet) -> PDSet:
     return PDSet(_by_birth(pt.array[:, 1:]))
 
 
-def denoise(pt: PTSet, tau: float) -> PTSet:
-    """Keep features with persistence >= tau; drop the diagonal when tau > 0."""
+def check_tau(tau: float) -> None:
+    """Raise ValueError unless ``tau`` is a number >= 0; NaN is not."""
     if not tau >= 0:
         raise ValueError("tau must be a nonnegative number")
+
+
+def denoise(pt: PTSet, tau: float) -> PTSet:
+    """Keep features with persistence >= tau; drop the diagonal when tau > 0."""
+    check_tau(tau)
     return PTSet(pt.array[_persistence(pt.array) >= tau],
                  pt.diagonal_array if tau == 0 else ())
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -110,12 +110,7 @@ class StabilityReport:
     equal_cardinality: bool = True
 
     def to_json_dict(self) -> dict:
-        return {
-            "lhs": _enc(self.lhs), "rhs": _enc(self.rhs), "ratio": _enc(self.ratio),
-            "holds": self.holds, "p": _enc(self.p), "slack": self.slack,
-            "transform": self.transform, "seed": self.seed,
-            "equal_cardinality": self.equal_cardinality,
-        }
+        return {f.name: _enc(getattr(self, f.name)) for f in fields(self)}
 
 
 def _enc(v: float):
@@ -140,15 +135,12 @@ def check_stability(K: MorseSet, L: MorseSet, p: float,
     constant that holds is 2^(1-1/p), see the README), so ``holds`` can be
     False there and ``morsepeak stability --transform rpt`` can exit 1 by
     design."""
-    if transform == "pt":
-        lhs = wasserstein(persistence_transformation(K),
-                          persistence_transformation(L), p, slack)
-    elif transform == "rpt":
-        lhs = wasserstein(reduced_persistence_transformation(K),
-                          reduced_persistence_transformation(L), p, slack)
-    else:
+    # looked up at call time, so a wrapped transform is used
+    make = {"pt": persistence_transformation,
+            "rpt": reduced_persistence_transformation}.get(transform)
+    if make is None:
         raise ValueError(f"unknown transform {transform!r}")
-    lhs = float(lhs)
+    lhs = float(wasserstein(make(K), make(L), p, slack))
     rhs = float(morse_distance(K, L, p))
     if math.isinf(rhs):
         holds = True
@@ -161,12 +153,18 @@ def check_stability(K: MorseSet, L: MorseSet, p: float,
                            seed, equal)
 
 
+def _perturbed_pair(params: GenParams, seed: int,
+                    epsilon: float) -> tuple[MorseSet, MorseSet]:
+    """The trial pair of ``seed``: a random set and its perturbation."""
+    K = random_morse_set(replace(params, seed=seed))
+    return K, perturb(K, epsilon, seed + 1)
+
+
 def _trial(params: GenParams, index: int, epsilon: float,
            ps: Sequence[float], transforms: Sequence[str],
            slack: str) -> list[StabilityReport]:
     seed_k = params.seed * 1_000_003 + 2 * index
-    K = random_morse_set(replace(params, seed=seed_k))
-    L = perturb(K, epsilon, seed_k + 1)
+    K, L = _perturbed_pair(params, seed_k, epsilon)
     return [check_stability(K, L, p, transform, slack, seed=seed_k)
             for transform in transforms for p in ps]
 
@@ -206,8 +204,7 @@ def _persist_failures(params: GenParams, epsilon: float,
     out = Path(fixture_dir)
     out.mkdir(parents=True, exist_ok=True)
     for r in failing:
-        K = random_morse_set(replace(params, seed=r.seed))
-        L = perturb(K, epsilon, r.seed + 1)
+        K, L = _perturbed_pair(params, r.seed, epsilon)
         K, L = shrink_counterexample(K, L, r.p, r.transform, r.slack)
         name = f"stability_{r.transform}_p{r.p}_{r.slack}_{r.seed}.json"
         payload = {

@@ -6,7 +6,8 @@ samples one by one, the pairing oracle sweeps a densely interpolated sample
 sequence, the diagram oracle is derived from that sweep, the transform
 rows are built one object at a time from it, the assignment/matching
 oracles enumerate permutations, and the dense Wasserstein oracle solves
-the full diagonal-bordered matrix unpruned.
+the full diagonal-bordered matrix unpruned, built entry by entry with
+``sup_dist`` rather than by the library's matrix code.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ import numpy as np
 
 from morsepeak.core import (CriticalPoint, EmptyInputError, Kind, MorseSet,
                             colex_lt)
-from morsepeak.metrics import (InfeasibleError, UnmatchableInfinityError,
-                               _aggregate, _cost_matrix, _points,
+from morsepeak.metrics import (PAD_ORIGIN, InfeasibleError,
+                               UnmatchableInfinityError, _aggregate, _points,
                                solve_assignment, sup_dist)
 from morsepeak.pairing import PDPoint, PTFeature, RPTFeature
 
@@ -258,12 +259,40 @@ def morse_distance_direct(K: MorseSet, L: MorseSet, p: float) -> float:
     return math.fsum(c ** p for c in costs) ** (1 / p)
 
 
+def zero_padded(pa, pb):
+    """The rows of two point arrays as tuples, the shorter list padded with
+    all-zero points to the length of the longer."""
+    n = max(len(pa), len(pb))
+    return ([tuple(r) for r in q] + [(0.0,) * q.shape[1]] * (n - len(q))
+            for q in (pa, pb))
+
+
+def per_entry_cost_matrix(pa, sa, pb, sb, slack):
+    """The cost matrix built entry by entry with ``sup_dist``: the
+    ``sup_dist`` matrix of the two sets padded with all-zero points
+    (``pad-origin``), or the full ``(n+m)^2`` matrix bordered by the slacks
+    with an all-0 block pairing the diagonal copies (``diagonal``)."""
+    if slack == PAD_ORIGIN:
+        pa, pb = zero_padded(pa, pb)
+        return np.array([[sup_dist(a, b) for b in pb] for a in pa])
+    n, m = len(pa), len(pb)
+    raw = np.full((n + m, n + m), math.inf)
+    for i in range(n):
+        for j in range(m):
+            raw[i, j] = sup_dist(pa[i], pb[j])
+        raw[i, m + i] = sa[i]
+    for j in range(m):
+        raw[n + j, j] = sb[j]
+    raw[n:, m:] = 0.0
+    return raw
+
+
 def dense_wasserstein(A, B, p: float) -> float:
     """Diagonal-slack Wasserstein distance from one solve of the full
-    ``(n+m)^2`` bordered matrix, with the same scale-safe powers as the
-    library but no pruning."""
+    ``(n+m)^2`` bordered matrix of :func:`per_entry_cost_matrix`, with the
+    same scale-safe powers as the library but no pruning."""
     (pa, sa), (pb, sb) = map(_points, (A, B))
-    raw = _cost_matrix(pa, sa, pb, sb, "diagonal")
+    raw = per_entry_cost_matrix(pa, sa, pb, sb, "diagonal")
     try:
         if math.isinf(p):
             return solve_assignment(raw, objective="bottleneck").cost

@@ -89,10 +89,13 @@ class TestTransform:
         assert doc["diagonal"] == []
 
     def test_nan_tau_exit_2(self, capsys, e1_csv):
-        code, out, err = run(capsys, "transform", e1_csv, "--kind", "pt",
-                             "--tau", "nan")
-        assert (code, out) == (2, "")
-        assert err == "morsepeak: tau must be a nonnegative number\n"
+        # checked for RPT too, although only PT and PD are filtered by it
+        for kind in ("pt", "rpt", "pd"):
+            for tau in ("nan", "-5"):
+                code, out, err = run(capsys, "transform", e1_csv, "--kind",
+                                     kind, "--tau", tau)
+                assert (code, out) == (2, "")
+                assert err == "morsepeak: tau must be a nonnegative number\n"
 
     def test_rpt_csv_inf_token(self, capsys, e1_csv):
         code, out, _ = run(capsys, "transform", e1_csv, "--kind", "rpt",
@@ -174,6 +177,11 @@ class TestJSONShape:
          {"maxima": [[1, 2]], "minima": [[0, 0], [2, 0]], "domain": [0]}),
         (["distance", "--kind", "pt"], {"features": 5, "diagonal": []}),
         (["distance", "--kind", "pd"], [1, 2]),
+        # an integer too large for a float
+        (["distance", "--kind", "rpt"], {"features": [[1.0, 10**400]]}),
+        (["transform", "--kind", "pt"],
+         {"maxima": [[1, 10**400]], "minima": [[0, 0], [2, 0]],
+          "domain": [0, 2]}),
     ])
     def test_exit_2(self, capsys, tmp_path, argv, doc):
         path = tmp_path / "shape.json"
@@ -208,6 +216,14 @@ class TestGolden:
         assert (code, out, err) == (0, "", "")
         for name in files:
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_stability_report_bytes(self, capsys, tmp_path):
+        # every trial of this run holds, so it exits 0
+        report = tmp_path / "stability_pt.json"
+        code, out, err = run(capsys, "stability", "--trials", "4", "--seed",
+                             "0", "--transform", "pt", "-o", str(report))
+        assert (code, out, err) == (0, "", "")
+        assert report.read_bytes() == (GOLDEN / report.name).read_bytes()
 
     def test_stdout_ends_with_newline(self, capsys):
         code, out, _ = run(capsys, "transform", str(GOLDEN / "two_segments.csv"),
@@ -284,6 +300,13 @@ class TestDistance:
             '{"features": [[5.0, 2.0, 1.0]], "diagonal": []}'),
     }
 
+    @pytest.mark.parametrize("command", ["distance", "stability"])
+    def test_unknown_slack_exit_2(self, capsys, e1_csv, command):
+        files = [e1_csv, e1_csv] if command == "distance" else []
+        code, out, err = run(capsys, command, *files, "--slack", "nearest")
+        assert (code, out) == (2, "")
+        assert "argument --slack: invalid choice: 'nearest'" in err
+
     @pytest.mark.parametrize("p", ["1", "2", "inf"])
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_slack_exit_2(self, capsys, tmp_path, case, p):
@@ -318,6 +341,17 @@ class TestStability:
                          "--transform", "pt", "-o", str(multi))
         assert code == 0
         assert base.read_text() == multi.read_text()
+
+    @pytest.mark.parametrize("threads", ["abc", "-2", "1.5"])
+    def test_bad_threads_env_exit_2(self, capsys, tmp_path, monkeypatch,
+                                    threads):
+        monkeypatch.setenv("MORSEPEAK_THREADS", threads)
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "stability", "--trials", "2",
+                             "-o", str(report))
+        assert (code, out) == (2, "") and not report.exists()
+        assert err == (f"morsepeak: MORSEPEAK_THREADS={threads!r} "
+                       "is not a whole number\n")
 
     @pytest.mark.parametrize("flag", [
         ["--epsilon", "nan"], ["--epsilon", "inf"], ["--domain", "0", "inf"],

@@ -13,11 +13,12 @@ from morsepeak import (DIAGONAL, PAD_ORIGIN, ConstantSegmentError, GenParams,
                        reduced_persistence_transformation, solve_assignment,
                        sup_dist, to_persistence_diagram, wasserstein)
 from morsepeak import metrics
-from morsepeak.metrics import (_cost_matrix, _points as _pd_points,
-                               _points as _pt_points,
-                               _points as _rpt_points, InfeasibleError)
+from morsepeak.metrics import (_points, _points as _pd_points,
+                               _points as _pt_points, _points as _rpt_points,
+                               _sup_block, InfeasibleError)
 from oracles import (brute_force_assignment, brute_force_wasserstein,
-                     dense_wasserstein, morse_distance_direct)
+                     dense_wasserstein, morse_distance_direct,
+                     per_entry_cost_matrix, zero_padded)
 
 INF = math.inf
 
@@ -158,53 +159,37 @@ class TestScaleSafety:
         assert wasserstein(A, B, 200, DIAGONAL) == 0.0
 
 
-def per_entry_cost_matrix(pa, sa, pb, sb, slack):
-    """The cost matrix built entry by entry with ``sup_dist``."""
-    if slack == PAD_ORIGIN:
-        zero = (0.0,) * (len(pa[0]) if len(pa) else len(pb[0]))
-        n = max(len(pa), len(pb))
-        pa = list(pa) + [zero] * (n - len(pa))
-        pb = list(pb) + [zero] * (n - len(pb))
-        return np.array([[sup_dist(a, b) for b in pb] for a in pa])
-    n, m = len(pa), len(pb)
-    raw = np.full((n + m, n + m), INF)
-    for i in range(n):
-        for j in range(m):
-            raw[i, j] = sup_dist(pa[i], pb[j])
-        raw[i, m + i] = sa[i]
-    for j in range(m):
-        raw[n + j, j] = sb[j]
-    raw[n:, m:] = 0.0
-    return raw
+TRANSFORMS = (persistence_transformation, reduced_persistence_transformation,
+              lambda m: to_persistence_diagram(persistence_transformation(m)))
+
+# transforms decoded from JSON null carry +inf births as well as the -inf
+# deaths (PT, PD) and +inf persistences (RPT) of essential peaks; in the
+# order of TRANSFORMS
+NULL_DECODED = (PTSet.from_json_dict({"features": [[0.5, None, 1.0],
+                                                  [2.0, 3.0, None]],
+                                     "diagonal": []}),
+                RPTSet.from_json_dict({"features": [[1.0, None]]}),
+                PDSet.from_json_dict({"points": [[None, 2.0], [None, None]]}))
 
 
 class TestCostMatrix:
     @pytest.mark.parametrize("slack", [DIAGONAL, PAD_ORIGIN])
     def test_equals_per_entry_sup_dist(self, slack):
-        kinds = ((_pt_points, persistence_transformation),
-                 (_rpt_points, reduced_persistence_transformation),
-                 (_pd_points, lambda m: to_persistence_diagram(
-                     persistence_transformation(m))))
-        # transforms decoded from JSON null carry +inf births as well as the
-        # -inf deaths (PT, PD) and +inf persistences (RPT) of essential peaks
-        decoded = (PTSet.from_json_dict({"features": [[0.5, None, 1.0],
-                                                      [2.0, 3.0, None]],
-                                         "diagonal": []}),
-                   RPTSet.from_json_dict({"features": [[1.0, None]]}),
-                   PDSet.from_json_dict({"points": [[None, 2.0],
-                                                    [None, None]]}))
         for seed in range(40):
             K = random_morse_set(GenParams(peak_count_range=(1, 7), seed=seed))
             L = random_morse_set(GenParams(peak_count_range=(1, 7),
                                            seed=seed + 9_000))
-            for (points, make), extra in zip(kinds, decoded):
+            for make, extra in zip(TRANSFORMS, NULL_DECODED):
                 for A, B in ((make(K), make(L)), (make(K), extra),
                              (extra, make(L)), (extra, extra)):
-                    (pa, sa), (pb, sb) = points(A), points(B)
-                    got = _cost_matrix(pa, sa, pb, sb, slack)
+                    (pa, sa), (pb, sb) = _points(A), _points(B)
                     want = per_entry_cost_matrix(pa, sa, pb, sb, slack)
+                    if slack == PAD_ORIGIN:  # as wasserstein pads them
+                        pa, pb = map(np.array, zero_padded(pa, pb))
+                    else:  # the sup_dist block of the bordered matrix
+                        want = want[:len(pa), :len(pb)]
                     assert np.isinf(pa).any() and np.isinf(pb).any()
-                    assert np.array_equal(got, want)
+                    assert np.array_equal(_sup_block(pa, pb), want)
 
 
 class TestAssignment:
@@ -346,6 +331,26 @@ class TestWasserstein:
                     else:
                         assert wasserstein(A, B, p, DIAGONAL) == \
                             pytest.approx(want)
+
+    def test_pad_origin_matches_brute_force(self):
+        # pad-origin is a perfect matching of the zero-padded sets: no
+        # point may pay a slack instead
+        for seed in range(25):
+            K = random_morse_set(GenParams(peak_count_range=(1, 3), seed=seed))
+            L = random_morse_set(GenParams(peak_count_range=(1, 4),
+                                           seed=seed + 5_000))
+            for make, extra in zip(TRANSFORMS, NULL_DECODED):
+                for A, B in ((make(K), make(L)), (make(K), extra)):
+                    pa, pb = zero_padded(A.array, B.array)
+                    never = [INF] * len(pa)
+                    for p in (1, 2, INF):
+                        want = brute_force_wasserstein(pa, pb, never, never, p)
+                        if math.isinf(want):
+                            with pytest.raises(UnmatchableInfinityError):
+                                wasserstein(A, B, p, PAD_ORIGIN)
+                        else:
+                            assert wasserstein(A, B, p, PAD_ORIGIN) == \
+                                pytest.approx(want)
 
     def test_kind_mismatch(self, e1):
         pt = persistence_transformation(e1)
