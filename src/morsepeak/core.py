@@ -168,9 +168,6 @@ class MorseSet(_Frozen):
     def points_by_x(self) -> tuple[CriticalPoint, ...]:
         return self._points
 
-    def global_min_value(self) -> float:
-        return float(self.ys.min())
-
     def xy(self, order: np.ndarray) -> np.ndarray:
         """Positions and values of the points ``order`` indexes, as rows."""
         return np.array((self.xs[order], self.ys[order])).T

@@ -3,8 +3,8 @@
 Two interchangeable pairing routines are provided: :func:`pair` sweeps the
 upper levelsets with a union-find over the alternating critical sequence,
 while :func:`pair_recursive` realizes the region-splitting recursion.  Both
-produce the same injective map from maxima to death minima (the surviving
-peak of each component is marked essential, death value minus infinity).
+give the same injective map from maxima to death minima, as an x-order
+death-index array (the essential peak, the survivor, dies at minus infinity).
 """
 from __future__ import annotations
 
@@ -17,11 +17,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .core import CriticalPoint, MorseSet, _Frozen, require_valid
-
-
-def elder_key(p: CriticalPoint) -> tuple[float, float]:
-    # Smaller key = elder: higher value first, position breaks ties leftward.
-    return (-p.y, p.x)
 
 
 @dataclass(frozen=True)
@@ -42,9 +37,27 @@ class PairingEntry:
         return self.peak.y - self.death_value
 
 
-@dataclass(frozen=True)
-class Pairing:
-    entries: tuple[PairingEntry, ...]
+class Pairing(_Frozen):
+    """The elder-rule pairing of ``ms``.  ``death`` holds, in x order, the
+    index of each point's death minimum, or -1 for minima and the essential
+    peak, as a read-only int array; ``entries`` are built on first use."""
+
+    def __init__(self, ms: MorseSet, death):
+        death = np.array(death, dtype=int).reshape(-1)
+        death.flags.writeable = False
+        self.__dict__.update(ms=ms, death=death)
+
+    def _values(self) -> tuple:
+        return (*self.ms._values(), self.death)
+
+    def __repr__(self) -> str:
+        return f"Pairing(entries={self.entries!r})"
+
+    @cached_property
+    def entries(self) -> tuple[PairingEntry, ...]:
+        pts, d = self.ms.points_by_x(), self.death.tolist()
+        return tuple(PairingEntry(pts[i], None if d[i] < 0 else pts[d[i]])
+                     for i in self.ms.max_order.tolist())
 
     def as_dict(self) -> dict[CriticalPoint, Optional[CriticalPoint]]:
         return {e.peak: e.death for e in self.entries}
@@ -67,12 +80,14 @@ def _elder_deaths(ms: MorseSet) -> np.ndarray:
             death[young] = i
             elder[l] = old
             span[l], span[r] = r, l
-    return np.array(death)
+    death = np.array(death, dtype=int)
+    death.flags.writeable = False
+    return death
 
 
 def _deaths(ms: MorseSet) -> np.ndarray:
     """Index of each point's death minimum in x order; -1 for minima and for
-    the essential peak.  Computed once per set."""
+    the essential peak.  Computed once per set, read-only."""
     require_valid(ms)
     return ms.memo("deaths", _elder_deaths)
 
@@ -84,58 +99,39 @@ def pair(ms: MorseSet) -> Pairing:
     components of its two neighboring maxima and kills the younger of the two
     representative peaks.
     """
-    death = _deaths(ms).tolist()
-    pts = ms.points_by_x()
-    return Pairing(tuple(
-        PairingEntry(pts[i], None if death[i] < 0 else pts[death[i]])
-        for i in ms.max_order.tolist()))
+    return Pairing(ms, _deaths(ms))
 
 
 def pair_recursive(ms: MorseSet) -> Pairing:
     """Elder-rule pairing via region splitting.
 
-    Pop the global maximum (essential), split the remaining maxima into the
-    regions left and right of it, then repeatedly pop each region's top peak
-    and assign it the lowest minimum strictly between that peak and the region
-    edge shared with its higher neighbor.  Minima are ranked by the order
-    that ranks the peaks, so at equal height the rightmost one is lowest, as
-    in the top-down sweep.  Implemented with an explicit stack; the emitted
-    pairs do not depend on traversal order.
+    A region is an open interval of x-order indices, -1 and n standing for
+    the domain ends.  Pop the global maximum (essential) and split the rest
+    into the regions left and right of it; then pop each region's top peak
+    and assign it the lowest minimum strictly between that peak and the
+    region edge shared with its higher neighbor.  Points are ranked maxima
+    first, each kind from the highest down and leftmost first at equal
+    height: a top is the least rank in its region, a death the greatest.
     """
     require_valid(ms)
-    if not ms.maxima:
-        return Pairing(())
-    minima = sorted(ms.minima, key=elder_key, reverse=True)
-    maxima = sorted(ms.maxima, key=elder_key)
-    death: dict[CriticalPoint, Optional[CriticalPoint]] = {}
-
-    top = maxima[0]
-    death[top] = None
-    rest = maxima[1:]
-    a, b = ms.domain
-    # region edges seeded from the domain boundary so boundary-adjacent maxima
-    # are never excluded; each frame is (outer edge, shared higher edge)
-    stack = [(a, top.x, [k for k in rest if k.x < top.x], minima),
-             (b, top.x, [k for k in rest if k.x > top.x], minima)]
+    n = ms.xs.size
+    rank = np.lexsort((ms.xs, -ms.ys, ~ms.is_max)).argsort()
+    death = [-1] * n
+    top = int(rank.argmin())
+    # each frame is (outer edge, shared higher edge)
+    stack = [(-1, top), (n, top)] if ms.is_max[top] else []
     while stack:
-        start, end, peaks, mins = stack.pop()
-        lo, hi = (start, end) if start <= end else (end, start)
-        peaks = [k for k in peaks if lo <= k.x <= hi]
-        if not peaks:
+        start, end = stack.pop()
+        lo, hi = sorted((start, end))
+        if hi - lo < 2:
             continue
-        peaks.sort(key=elder_key)
-        region_top = peaks.pop(0)
-        stack.append((start, region_top.x, peaks, mins))
-        wlo, whi = ((region_top.x, end) if region_top.x <= end
-                    else (end, region_top.x))
-        window = [m for m in mins if wlo < m.x < whi]
-        saddle = window.pop(0)  # lowest separating minimum
-        death[region_top] = saddle
-        stack.append((saddle.x, region_top.x, peaks, window))
-        stack.append((saddle.x, end, peaks, window))
-
-    entries = tuple(PairingEntry(m, death[m]) for m in ms.maxima)
-    return Pairing(entries)
+        top = lo + 1 + int(rank[lo + 1:hi].argmin())
+        if not ms.is_max[top]:
+            continue  # no peak in the region
+        lo, hi = sorted((top, end))
+        death[top] = lo + 1 + int(rank[lo + 1:hi].argmax())
+        stack += [(start, top), (death[top], top), (death[top], end)]
+    return Pairing(ms, death)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +273,7 @@ def _peaks(ms: MorseSet, clip: bool = False) -> tuple[np.ndarray, ...]:
     """A row (position, birth, death value) per peak, and its persistence.
     The essential peak dies at -inf, or at the global minimum if ``clip``."""
     d = _deaths(ms)[ms.is_max]
-    essential = ms.global_min_value() if clip else -math.inf
+    essential = ms.ys.min() if clip else -math.inf
     rows = np.array((ms.xs[ms.is_max], ms.ys[ms.is_max],
                      np.where(d < 0, essential, ms.ys[d]))).T
     return rows, _persistence(rows)

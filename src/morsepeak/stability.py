@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -178,15 +179,18 @@ def run_trials(params: GenParams, trials: int, epsilon: float = 0.1,
     """Run perturbation trials; optionally persist failing pairs as fixtures.
 
     Results are deterministic in ``params.seed`` and independent of
-    ``max_workers``; reports come back in trial order.
+    ``max_workers``, a cap on the worker processes; reports are in trial order.
     """
-    if max_workers > 1 and trials > 1:
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
+    workers = min(max_workers, trials, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(
                 _trial, [params] * trials, range(trials),
                 [epsilon] * trials, [ps] * trials, [transforms] * trials,
-                [slack] * trials, chunksize=max(1, trials // (4 * max_workers))))
+                [slack] * trials, chunksize=max(1, trials // (4 * workers))))
     else:
         batches = [_trial(params, i, epsilon, ps, transforms, slack)
                    for i in range(trials)]

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -140,6 +142,22 @@ class TestTransform:
             code, _, _ = run(capsys, "transform", e1_csv, "--kind", kind,
                              "--svg", str(path))
             assert code == 0 and path.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("kind", ["pt", "rpt", "pd"])
+    @pytest.mark.parametrize("rows", [
+        # values near the largest doubles: their span overflows a double
+        "0,-1.7e308\n1,1.7e308\n2,-1.7e308\n3,1.6e308\n4,-1.7e308\n",
+        # one peak far out, where 0.5 is below a position's precision
+        "1e17,0\n1.0000000000000016e17,1\n1.0000000000000032e17,0\n"],
+        ids=["near-max", "far-x"])
+    def test_svg_finite_at_extreme_values(self, capsys, tmp_path, kind, rows):
+        src, svg = tmp_path / "s.csv", tmp_path / "s.svg"
+        src.write_text(rows)
+        code, _, _ = run(capsys, "transform", str(src), "--kind", kind,
+                         "--svg", str(svg))
+        coords = re.findall(r' (?:c?[xy][12]?)="([^"]*)"', svg.read_text())
+        assert code == 0 and len(coords) > 4
+        assert all(math.isfinite(float(c)) for c in coords), coords
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -362,6 +380,13 @@ class TestStability:
                              "-o", str(report), *flag)
         assert (code, out) == (2, "") and not report.exists()
         assert err.startswith("morsepeak: ") and "finite" in err
+
+    def test_negative_trials_exit_2(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "stability", "--trials", "-3",
+                             "-o", str(report))
+        assert (code, out) == (2, "") and not report.exists()
+        assert err == "morsepeak: trials must be nonnegative\n"
 
 
 class TestEntryPoint:

@@ -75,6 +75,28 @@ class TestPairing:
                 else:
                     assert e.persistence > 0
 
+    def test_death_index_array(self):
+        # pair builds no CriticalPoint: its entries come on first use from
+        # a read-only x-order array of death indices
+        ms = random_morse_set(GenParams(peak_count_range=(3, 6), seed=4))
+        pr = pair(ms)
+        assert "_points" not in ms.__dict__
+        assert pr.death.dtype.kind == "i" and pr.death.shape == ms.xs.shape
+        with pytest.raises(ValueError, match="read-only"):
+            pr.death[0] = 0
+        with pytest.raises(AttributeError):
+            pr.death = pr.death
+        again = pair_recursive(ms)
+        assert pr == again and hash(pr) == hash(again)
+        assert pr != pair(random_morse_set(GenParams(seed=5)))
+        assert "_points" not in ms.__dict__
+        for e in pr.entries:
+            i = int(np.flatnonzero(ms.xs == e.peak.x)[0])
+            assert pr.death[i] == (-1 if e.essential else
+                                   np.flatnonzero(ms.xs == e.death.x)[0])
+        assert [e.peak for e in pr.entries] == list(ms.maxima)
+        assert repr(pr) == f"Pairing(entries={pr.entries!r})"
+
     def test_determined_by_morse_set(self, e1):
         # resampling the same critical structure on a different grid cannot
         # change the pairing

@@ -64,6 +64,7 @@ class TestQuantizedWalks:
         assert fast == as_map((e.peak, e.death)
                               for e in pair_recursive(ms).entries)
         assert fast == as_map(sweep_pairing(ms).items())
+        assert np.array_equal(pair(ms).death, pair_recursive(ms).death)
 
     @given(walks())
     def test_transforms_follow_the_recursive_pairing(self, eps, samples):

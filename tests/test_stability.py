@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import math
+import os
 
 import pytest
 
@@ -134,6 +136,35 @@ class TestRunTrials:
         a = run_trials(GenParams(seed=5), trials=12)
         b = run_trials(GenParams(seed=5), trials=12, max_workers=4)
         assert a == b
+
+    def test_worker_count_is_an_upper_bound(self, monkeypatch):
+        # a stand-in pool that records its size and maps serially, so no
+        # process is started whatever max_workers asks for
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        params = GenParams(seed=3)
+        for trials in (3, 9):
+            assert run_trials(params, trials, max_workers=5000) == \
+                run_trials(params, trials)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        run_trials(params, 9, max_workers=5000)
+        assert sizes == [3, 4]
 
     def test_rpt_within_twice_pt(self):
         # the reduced transform's distance never exceeds twice the full one
