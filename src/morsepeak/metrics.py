@@ -155,13 +155,18 @@ def mstar_pairs(K: MorseSet, L: MorseSet) -> list[tuple[tuple, tuple]]:
                                     fillvalue=_ORIGIN)]
 
 
+def _rank_costs(K: MorseSet, L: MorseSet) -> list[float]:
+    """The sup-norm cost of each rank-matched pair; both sets must be valid."""
+    require_valid(K)
+    require_valid(L)
+    return [sup_dist(a, b) for a, b in mstar_pairs(K, L)]
+
+
 def morse_distance(K: MorseSet, L: MorseSet, p: float = 2.0) -> float:
     """p-aggregated sup-norm cost of the rank matching between two Morse
     sets, scale-safe at any p."""
     p = _check_p(p)
-    require_valid(K)
-    require_valid(L)
-    return _aggregate([sup_dist(a, b) for a, b in mstar_pairs(K, L)], p)
+    return _aggregate(_rank_costs(K, L), p)
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +202,10 @@ def _sup_block(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return block
 
 
-def _pruned_matrix(pa, sa, pb, sb, p: float) -> tuple[np.ndarray, list]:
-    """The pruned diagonal-slack matrix and the dropped points' slacks.  The
-    rule is taken relative to ``t = max(s_i, s_j)``, so no power overflows."""
-    c = _sup_block(pa, pb)
+def _pruned_matrix(c, sa, sb, p: float) -> tuple[np.ndarray, list]:
+    """The pruned diagonal-slack matrix of the sup block ``c`` and the
+    dropped points' slacks.  The rule is taken relative to
+    ``t = max(s_i, s_j)``, so no power overflows."""
     t = np.maximum.outer(sa, sb)
     keep = (c <= t) & np.isfinite(c)
     if not math.isinf(p):  # c^p <= 2 t^p, so only t < c <= 2^(1/p) t is open
@@ -239,7 +244,14 @@ def wasserstein(A: TransformSet, B: TransformSet, p: float = 2.0,
     optimum's total lies in [1, n].  The distance is the scale-safe p-norm
     of the matched costs, as in :func:`morse_distance`, never rounded to 0.
     """
-    p = _check_p(p)
+    return _distances(A, B, (p,), slack)[0]
+
+
+def _distances(A: TransformSet, B: TransformSet, ps: Sequence[float],
+               slack: str) -> list[float]:
+    """:func:`wasserstein` at each of ``ps``: the checks, the points and the
+    sup block are made once, the prune and the solve once per p."""
+    ps = [_check_p(p) for p in ps]
     if type(A) is not type(B):
         raise KindMismatchError(
             f"cannot compare {type(A).__name__} with {type(B).__name__}")
@@ -248,27 +260,33 @@ def wasserstein(A: TransformSet, B: TransformSet, p: float = 2.0,
     (pa, sa), (pb, sb) = _points(A), _points(B)
     if slack == DIAGONAL and ((sa < 0).any() or (sb < 0).any()):
         raise ValueError("diagonal slack must not be negative")
-    if slack == DIAGONAL:
-        raw, costs = _pruned_matrix(pa, sa, pb, sb, p)
-    else:  # zero rows pad the smaller set; np.pad is 10x slower on small sets
+    if slack == PAD_ORIGIN:
+        # zero rows pad the smaller set; np.pad is 10x slower on small sets
         n = max(len(pa), len(pb))
-        raw, costs = _sup_block(*(np.concatenate(
-            [q, np.zeros((n - len(q), q.shape[1]))]) for q in (pa, pb))), []
+        pa, pb = (np.concatenate([q, np.zeros((n - len(q), q.shape[1]))])
+                  for q in (pa, pb))
+    block = _sup_block(pa, pb)
+    out = []
     try:
-        if math.isinf(p):
-            costs.append(solve_assignment(raw, objective="bottleneck").cost)
-        else:
-            top = raw.max(where=np.isfinite(raw), initial=0.0) or 1.0
-            least = raw.min(where=raw > 0, initial=math.inf)
-            # if the least positive cost scales to 0, such costs all tie:
-            # scale by the bottleneck value (the least cost if that is 0)
-            scale = top if (least / top) ** p > 0 else max(
-                solve_assignment(raw, objective="bottleneck").cost, least)
-            scaled = np.divide(raw, scale)
-            with np.errstate(over="ignore"):
-                np.power(scaled, p, out=scaled)
-            costs += [raw[ij] for ij in solve_assignment(scaled).pairs]
+        for p in ps:
+            raw, costs = (_pruned_matrix(block, sa, sb, p)
+                          if slack == DIAGONAL else (block, []))
+            if math.isinf(p):
+                costs.append(
+                    solve_assignment(raw, objective="bottleneck").cost)
+            else:
+                top = raw.max(where=np.isfinite(raw), initial=0.0) or 1.0
+                least = raw.min(where=raw > 0, initial=math.inf)
+                # if the least positive cost scales to 0, such costs all tie:
+                # scale by the bottleneck value (the least cost if that is 0)
+                scale = top if (least / top) ** p > 0 else max(
+                    solve_assignment(raw, objective="bottleneck").cost, least)
+                scaled = np.divide(raw, scale)
+                with np.errstate(over="ignore"):
+                    np.power(scaled, p, out=scaled)
+                costs += [raw[ij] for ij in solve_assignment(scaled).pairs]
+            out.append(_aggregate(costs, p))
     except InfeasibleError:
         raise UnmatchableInfinityError(
             "an infinite-coordinate point has no admissible partner") from None
-    return _aggregate(costs, p)
+    return out

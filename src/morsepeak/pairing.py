@@ -59,9 +59,6 @@ class Pairing(_Frozen):
         return tuple(PairingEntry(pts[i], None if d[i] < 0 else pts[d[i]])
                      for i in self.ms.max_order.tolist())
 
-    def as_dict(self) -> dict[CriticalPoint, Optional[CriticalPoint]]:
-        return {e.peak: e.death for e in self.entries}
-
 
 def _elder_deaths(ms: MorseSet) -> np.ndarray:
     # Union-find on the x order: a component of the upper levelset is an
@@ -271,12 +268,20 @@ def _by_birth(rows: np.ndarray) -> np.ndarray:
 
 def _peaks(ms: MorseSet, clip: bool = False) -> tuple[np.ndarray, ...]:
     """A row (position, birth, death value) per peak, and its persistence.
-    The essential peak dies at -inf, or at the global minimum if ``clip``."""
+    The essential peak dies at -inf, or at the global minimum if ``clip``.
+    ValueError if a peak with a finite death (the clipped essential one
+    too) has a persistence that is not finite, as on a span > max double."""
     d = _deaths(ms)[ms.is_max]
     essential = ms.ys.min() if clip else -math.inf
     rows = np.array((ms.xs[ms.is_max], ms.ys[ms.is_max],
                      np.where(d < 0, essential, ms.ys[d]))).T
-    return rows, _persistence(rows)
+    pers = _persistence(rows)
+    bad = np.isinf(pers) & ((d >= 0) | clip)
+    if bad.any():
+        x, birth, death = rows[bad.argmax()].tolist()
+        raise ValueError(f"the peak at x={x!r} has birth {birth!r} and death "
+                         f"{death!r}, whose difference is not finite")
+    return rows, pers
 
 
 def persistence_transformation(ms: MorseSet) -> PTSet:

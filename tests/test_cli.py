@@ -111,6 +111,20 @@ class TestTransform:
                            "--clip-essential", "--format", "csv")
         assert out.splitlines()[1] == "3,5"
 
+    @pytest.mark.parametrize("argv, x", [
+        (["--kind", "rpt"], 3.0), (["--kind", "rpt", "--clip-essential"], 1.0),
+        (["--kind", "pt"], 3.0)])
+    def test_persistence_overflow_exit_2(self, capsys, tmp_path, argv, x):
+        # every value is finite, but the peak at x=3 spans more than the
+        # largest double; with clipping, so does the essential peak at x=1
+        path = tmp_path / "span.csv"
+        path.write_text("0,-1.7e308\n1,1.7e308\n2,-1.7e308\n3,1.6e308\n"
+                        "4,-1.7e308\n")
+        code, out, err = run(capsys, "transform", str(path), *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"morsepeak: the peak at x={x} has birth ")
+        assert err.endswith(", whose difference is not finite\n")
+
     def test_pd(self, capsys, e1_csv):
         code, out, _ = run(capsys, "transform", e1_csv, "--kind", "pd")
         doc = json.loads(out)
@@ -145,8 +159,10 @@ class TestTransform:
 
     @pytest.mark.parametrize("kind", ["pt", "rpt", "pd"])
     @pytest.mark.parametrize("rows", [
-        # values near the largest doubles: their span overflows a double
-        "0,-1.7e308\n1,1.7e308\n2,-1.7e308\n3,1.6e308\n4,-1.7e308\n",
+        # positions and values near the largest doubles: their spans
+        # overflow a double, though no persistence does
+        "-1.7e308,-1.7e308\n-1.2e308,-1.6e308\n-6e307,-1.7e308\n0,1.7e308\n"
+        "6e307,1.4e308\n1.2e308,1.5e308\n1.7e308,1.4e308\n",
         # one peak far out, where 0.5 is below a position's precision
         "1e17,0\n1.0000000000000016e17,1\n1.0000000000000032e17,0\n"],
         ids=["near-max", "far-x"])

@@ -5,10 +5,12 @@ import os
 
 import pytest
 
-from morsepeak import core, pairing
-from morsepeak import (PAD_ORIGIN, GenParams, MorseSet, check_stability,
+from morsepeak import core, metrics, pairing, stability
+from morsepeak import (DIAGONAL, PAD_ORIGIN, GenParams, MorseSet,
+                       UnmatchableInfinityError, check_stability,
                        morse_distance, perturb, perturb_with_info,
-                       random_morse_set, reports_to_json, run_trials, validate)
+                       random_morse_set, reports_to_json, run_trials,
+                       shrink_counterexample, validate)
 
 INF = math.inf
 
@@ -121,8 +123,17 @@ class TestCheckStability:
         assert doc["p"] == "inf" and doc["holds"] is True
 
     def test_unknown_transform(self, e1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown transform 'pl'"):
             check_stability(e1, e1, 2, "pl")
+        with pytest.raises(ValueError, match="unknown transform 'pl'"):
+            run_trials(GenParams(seed=1), trials=2, transforms=("pt", "pl"))
+
+    @pytest.mark.parametrize("p", [0.5, 0, -INF, math.nan])
+    def test_bad_p(self, e1, p):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            check_stability(e1, e1, p)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            run_trials(GenParams(seed=1), trials=2, ps=(1.0, p))
 
 
 class TestRunTrials:
@@ -176,6 +187,20 @@ class TestRunTrials:
                 lhs_rpt = check_stability(K, L, p, "rpt").lhs
                 assert lhs_rpt <= 2 * lhs_pt + 1e-9
 
+    @pytest.mark.parametrize("slack", [PAD_ORIGIN, DIAGONAL])
+    @pytest.mark.parametrize("ps", [(INF, 2, 1.0, 2), (3.5, 1.0, 3.5, INF)])
+    def test_equals_check_stability(self, slack, ps):
+        # one trial's reports, built in one pass, are the reports of
+        # check_stability per (transform, p), field by field and in order
+        params = GenParams(seed=9, peak_count_range=(1, 12))
+        reports = run_trials(params, trials=8, ps=ps, slack=slack)
+        assert [(r.transform, r.p) for r in reports] == \
+            8 * [(t, p) for t in ("pt", "rpt") for p in ps]
+        for r in reports:
+            K, L = stability._perturbed_pair(params, r.seed, 0.1)
+            want = check_stability(K, L, r.p, r.transform, slack, seed=r.seed)
+            assert repr(r) == repr(want)
+
     def test_json_report(self):
         reports = run_trials(GenParams(seed=2), trials=3, transforms=("pt",),
                              ps=(1.0,))
@@ -202,16 +227,17 @@ class TestRunTrials:
 
 class TestComputedOnce:
     """A Morse set is validated once and paired once, however often the
-    stability checks read it."""
+    stability checks read it; a trial transforms each set and builds each
+    sup block once."""
 
     @staticmethod
     def counted(monkeypatch, module, name):
         seen = []  # keeps every argument alive, so ids are not reused
         real = getattr(module, name)
 
-        def wrapper(ms):
+        def wrapper(ms, *args):
             seen.append(ms)
-            return real(ms)
+            return real(ms, *args)
 
         monkeypatch.setattr(module, name, wrapper)
         return seen
@@ -230,8 +256,47 @@ class TestComputedOnce:
     def test_run_trials(self, monkeypatch):
         validated = self.counted(monkeypatch, core, "validate")
         paired = self.counted(monkeypatch, pairing, "_elder_deaths")
+        pts = self.counted(monkeypatch, stability,
+                           "persistence_transformation")
+        rpts = self.counted(monkeypatch, stability,
+                            "reduced_persistence_transformation")
+        blocks = self.counted(monkeypatch, metrics, "_sup_block")
         run_trials(GenParams(seed=5), trials=20)
         for seen in (validated, paired):
             assert len({id(ms) for ms in seen}) == len(seen)
         # each trial pairs its two sets, K and the perturbed L
         assert len(paired) == 40
+        # and builds each transform of each of them once, whatever the ps
+        for seen in (pts, rpts):
+            assert sorted(map(id, seen)) == sorted(map(id, paired))
+        # one sup block per (trial, transform), shared by the three ps
+        assert len(blocks) == 20 * 2
+
+
+class TestShrink:
+    @staticmethod
+    def pair():
+        K = random_morse_set(GenParams(seed=3))
+        return K, perturb(K, 0.1, 4)
+
+    def test_unexpected_error_raises(self, monkeypatch):
+        # a fault in the program is not read as "no violation"
+        def broken(ms):
+            raise RuntimeError("broken transform")
+
+        monkeypatch.setattr(stability, "persistence_transformation", broken)
+        with pytest.raises(RuntimeError, match="broken transform"):
+            shrink_counterexample(*self.pair(), 1.0, "pt", PAD_ORIGIN)
+
+    def test_documented_errors_are_no_violation(self, monkeypatch):
+        K, L = self.pair()
+        invalid = MorseSet(K.xs, K.ys, ~K.is_max, K.domain)
+        assert not validate(invalid).ok
+        assert shrink_counterexample(K, invalid, 1.0, "pt", PAD_ORIGIN) == \
+            (K, invalid)
+
+        def unmatchable(A, B, ps, slack):
+            raise UnmatchableInfinityError("no partner")
+
+        monkeypatch.setattr(stability, "_distances", unmatchable)
+        assert shrink_counterexample(K, L, 1.0, "pt", PAD_ORIGIN) == (K, L)
