@@ -11,8 +11,10 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from itertools import chain
+from functools import cache
 from pathlib import Path
+
+import numpy as np
 
 from . import plots
 from .core import (InvalidMorseSetError, MorseSet, extract_critical_points,
@@ -74,20 +76,37 @@ def _load_morse_sets(text: str, plateau_eps: float,
     return extract_critical_points(read_csv_series(text), plateau_eps)
 
 
-def _dump_rows(doc: dict[str, list[list]]) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=1)`` for a dict of lists of
-    rows of one length: the C encoder writes the scalars, joins the layout."""
-    items = []
-    for key in sorted(doc):
-        rows, head = doc[key], f" {json.dumps(key)}: ["
-        if not rows:
-            items.append(head + "]")
-            continue
-        cells = json.dumps(list(chain.from_iterable(rows)))[1:-1].split(", ")
-        body = "\n  ],\n  [\n   ".join(
-            map(",\n   ".join, zip(*[iter(cells)] * len(rows[0]))))
-        items.append(f"{head}\n  [\n   {body}\n  ]\n ]")
-    return "{\n" + ",\n".join(items) + "\n}"
+def _dump_rows(doc: dict[str, np.ndarray]) -> str:
+    """``json.dumps`` of ``doc`` as lists, ``sort_keys=True, indent=1``, for
+    a dict of 1-D or 2-D float arrays whose masked cells are written null:
+    the C encoder writes the cells, :func:`_list_body` the layout."""
+    return "{\n" + ",\n".join(f" {json.dumps(key)}: [{_list_body(doc[key])}]"
+                              for key in sorted(doc)) + "\n}"
+
+
+def _list_body(rows: np.ndarray) -> str:
+    """The text between the brackets of one list of ``_dump_rows``; its
+    cells die on return, before the next list's are made."""
+    if not len(rows):
+        return ""
+    cells = json.dumps(np.ma.getdata(rows).ravel().tolist())[1:-1].split(", ")
+    for i in np.flatnonzero(np.ma.getmaskarray(rows)).tolist():
+        cells[i] = "null"
+    if rows.ndim == 1:
+        return "\n  " + ",\n  ".join(cells) + "\n "
+    body = "\n  ],\n  [\n   ".join(
+        map(",\n   ".join, zip(*[iter(cells)] * rows.shape[1])))
+    return f"\n  [\n   {body}\n  ]\n "
+
+
+def _dump_sets(sets: list[MorseSet]) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=1)`` for the JSON
+    document of one Morse set, or the list of them if there are several."""
+    docs = [_dump_rows(s._json_arrays()) for s in sets]
+    if len(docs) == 1:
+        return docs[0]
+    # the list nests each document one space deeper
+    return "[\n " + ",\n ".join(d.replace("\n", "\n ") for d in docs) + "\n]"
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +116,7 @@ def _dump_rows(doc: dict[str, list[list]]) -> str:
 def cmd_extract(args) -> int:
     sets = extract_critical_points(read_csv_series(_read_input(args.input)),
                                    args.plateau_eps)
-    docs = [s.to_json_dict() for s in sets]
-    payload = docs[0] if len(docs) == 1 else docs
-    _write_output(json.dumps(payload, sort_keys=True, indent=1), args.output)
+    _write_output(_dump_sets(sets), args.output)
     return 0
 
 
@@ -121,7 +138,7 @@ def cmd_transform(args) -> int:
         render = getattr(plots, f"render_{args.kind}")
         Path(args.svg).write_text(render(result))
     _write_output(_to_csv(result) if args.format == "csv"
-                  else _dump_rows(result.to_json_dict()), args.output)
+                  else _dump_rows(result._json_arrays()), args.output)
     return 0
 
 
@@ -176,6 +193,7 @@ def cmd_stability(args) -> int:
 # Argument parsing
 
 
+@cache  # one per process: main calls it for every command
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="morsepeak",

@@ -12,8 +12,6 @@ from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat
-from operator import contains
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -172,12 +170,14 @@ class MorseSet(_Frozen):
         """Positions and values of the points ``order`` indexes, as rows."""
         return np.array((self.xs[order], self.ys[order])).T
 
+    def _json_arrays(self) -> dict[str, np.ndarray]:
+        """The JSON document as arrays: the domain, and the canonical rows."""
+        return {"domain": np.array(self.domain),
+                "maxima": self.xy(self.max_order),
+                "minima": self.xy(self.min_order)}
+
     def to_json_dict(self) -> dict:
-        return {
-            "domain": [self.domain[0], self.domain[1]],
-            "maxima": self.xy(self.max_order).tolist(),
-            "minima": self.xy(self.min_order).tolist(),
-        }
+        return {key: a.tolist() for key, a in self._json_arrays().items()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MorseSet":
@@ -361,16 +361,18 @@ def _extract_segment(samples: np.ndarray, eps: float) -> MorseSet:
 
     # Runs of consecutive samples within eps of the last kept one collapse to
     # their leftmost sample, so no two adjacent kept values are within eps.
-    values = y.tolist()
-    keep, last = [0], values[0]
-    for i, v in enumerate(values):
-        if abs(v - last) > eps:
-            keep.append(i)
-            last = v
+    if eps == 0:  # the last kept value is the previous one
+        keep = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    else:
+        values = y.tolist()
+        keep, last = [0], values[0]
+        for i, v in enumerate(values):
+            if abs(v - last) > eps:
+                keep.append(i)
+                last = v
     if len(keep) < 2:
         raise ConstantSegmentError("segment is constant after plateau collapse")
 
-    keep = np.array(keep)
     x, y = x[keep], y[keep]
     rising = y[1:] > y[:-1]
     # A point is critical where the slope into it and the slope out of it
@@ -405,26 +407,26 @@ def extract_critical_points(series: SampledSeries | Sequence[Sample],
 
 def _parse_segment(lines: list[str], lineno: int) -> np.ndarray:
     """The ``(n, 2)`` samples of one segment's stripped, non-blank lines,
-    the first being line ``lineno``.  From the first numeric row on, plain
-    ``x,y`` rows are parsed whole; anything else is scanned line by line."""
+    the first being line ``lineno``.  From the first numeric row on, the rows
+    go to numpy's C reader whole; if it fails or finds other than two
+    columns, they are scanned line by line."""
     rows: list[Sample] = []
     for n, line in enumerate(lines, lineno):
         cells = line.split(",")
         if len(cells) < 2:
             raise ValueError(f"line {n}: expected two columns, got {line!r}")
         try:
-            rows.append((float(cells[0]), float(cells[1])))
+            rows.append((float(cells[0].strip()), float(cells[1].strip())))
         except ValueError:
             if not rows:
                 continue  # header row of a segment
             raise ValueError(f"line {n}: non-numeric row {line!r}") from None
         if len(rows) == 1:  # the first numeric row: try the rest whole
-            rest = lines[n - lineno:]
-            cells = ",".join(rest).split(",")
-            # 2m cells and a comma on each of the m lines: one on each
-            if len(cells) == 2 * len(rest) and all(map(contains, rest, repeat(","))):
-                with suppress(ValueError):  # a bad row: scan on
-                    return np.fromiter(map(float, cells), float).reshape(-1, 2)
+            with suppress(ValueError):  # a bad row: scan on
+                whole = np.loadtxt(lines[n - lineno:], delimiter=",",
+                                   comments=None, ndmin=2)
+                if whole.shape[1] == 2:
+                    return whole
     return np.array(rows).reshape(-1, 2)
 
 

@@ -281,8 +281,10 @@ def _distances(A: TransformSet, B: TransformSet, ps: Sequence[float],
                 # scale by the bottleneck value (the least cost if that is 0)
                 scale = top if (least / top) ** p > 0 else max(
                     solve_assignment(raw, objective="bottleneck").cost, least)
-                scaled = np.divide(raw, scale)
+                # a cost that overflows here exceeds the bottleneck by more
+                # than n^(1/p), so no optimal matching uses it
                 with np.errstate(over="ignore"):
+                    scaled = np.divide(raw, scale)
                     np.power(scaled, p, out=scaled)
                 costs += [raw[ij] for ij in solve_assignment(scaled).pairs]
             out.append(_aggregate(costs, p))

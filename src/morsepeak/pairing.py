@@ -191,10 +191,14 @@ class _PointSet(_Frozen):
         """Every point as a row under ``columns``."""
         return self.array
 
-    def to_json_dict(self) -> dict:
-        return {key: np.where(np.isinf(a) & np.not_equal(nulls, None), None,
-                              a).tolist()
+    def _json_arrays(self) -> dict[str, np.ma.MaskedArray]:
+        """Each JSON key's rows, with the cells written as null masked."""
+        return {key: np.ma.array(a, mask=np.isinf(a)
+                                 & np.not_equal(nulls, None))
                 for (_, key, _, nulls), a in zip(self._ARRAYS, self._values())}
+
+    def to_json_dict(self) -> dict:
+        return {key: a.tolist() for key, a in self._json_arrays().items()}
 
     @classmethod
     def from_json_dict(cls, d: dict):

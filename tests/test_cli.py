@@ -7,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import morsepeak
-from morsepeak.cli import _dump_rows, main
+from morsepeak import SampledSeries, extract_critical_points
+from morsepeak.cli import _dump_rows, _dump_sets, build_parser, main
 
 E1_CSV = "x,y\n0,0\n1,3\n2,1\n3,5\n4,0.5\n5,2\n6,0\n"
 
@@ -227,17 +230,56 @@ class TestJSONShape:
         assert err.startswith(f"morsepeak: {path}: JSON of the wrong shape")
 
 
-SCALARS = st.one_of(st.none(), st.floats(), st.integers(-10**20, 10**20))
+def masked_rows(width: int):
+    """Masked float arrays of ``width`` columns, or 1-D if it is 0."""
+    shapes = st.integers(0, 6).map(lambda n: (n, width) if width else (n,))
+    return shapes.flatmap(lambda shape: st.builds(
+        lambda a, null: np.ma.array(a, mask=null),
+        hnp.arrays(float, shape), hnp.arrays(bool, shape)))
 
 
 @given(st.dictionaries(
-    st.sampled_from(["points", "features", "diagonal"]),
-    st.integers(1, 3).flatmap(
-        lambda width: st.lists(st.lists(SCALARS, min_size=width,
-                                        max_size=width), max_size=6)),
-    min_size=1))
+    st.sampled_from(["points", "features", "diagonal", "domain"]),
+    st.integers(0, 3).flatmap(masked_rows), min_size=1))
 def test_dump_rows_matches_json_dumps(doc):
-    assert _dump_rows(doc) == json.dumps(doc, sort_keys=True, indent=1)
+    # MaskedArray.tolist writes a masked cell as None
+    lists = {key: a.tolist() for key, a in doc.items()}
+    assert _dump_rows(doc) == json.dumps(lists, sort_keys=True, indent=1)
+
+
+@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=2, max_size=12), min_size=1, max_size=3),
+       st.floats(1e-300, 1e300))
+def test_dump_sets_matches_json_dumps(segments, step):
+    assume(all(len(set(ys)) > 1 for ys in segments))
+    sets = extract_critical_points(SampledSeries.multi(
+        [(i * step, y) for i, y in enumerate(ys)] for ys in segments))
+    docs = [s.to_json_dict() for s in sets]
+    # one set is written as its document, several as a list of them
+    assert _dump_sets(sets[:1]) == json.dumps(docs[0], sort_keys=True,
+                                              indent=1)
+    assert _dump_sets(sets + sets) == json.dumps(docs + docs, sort_keys=True,
+                                                 indent=1)
+
+
+class TestParserCache:
+    def test_one_parser(self):
+        assert build_parser() is build_parser()
+
+    def test_flags_do_not_leak(self, capsys, tmp_path, e1_csv):
+        # main parses with one cached parser: --svg must not carry over
+        svg = tmp_path / "a.svg"
+        code, _, _ = run(capsys, "transform", e1_csv, "--kind", "pt",
+                         "--svg", str(svg), "-o", str(tmp_path / "a.json"))
+        assert code == 0 and svg.exists()
+        svg.unlink()
+        code, out, err = run(capsys, "transform", e1_csv, "--kind", "pt",
+                             "-o", str(tmp_path / "b.json"))
+        assert (code, out, err) == (0, "", "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.json", "b.json", "e1.csv"]
+        assert (tmp_path / "a.json").read_text() == \
+            (tmp_path / "b.json").read_text()
 
 
 class TestGolden:

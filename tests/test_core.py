@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -264,6 +265,16 @@ class TestCSVContract:
         ("0,0\n1,1\n   \t\n \n5,2\n6,0\n",
          (((0, 0), (1, 1)), ((5, 2), (6, 0)))),            # whitespace lines
         ("0,0,a\n1,1\n2,0,3,4\n", (((0, 0), (1, 1), (2, 0)),)),  # extra columns
+        # numpy's C reader reads a segment from its first numeric row on;
+        # where it and float() could disagree, the line scan decides
+        ("0,0\n1_0,2\n", (((0, 0), (10, 2)),)),           # underscore
+        ("0,0\n1\xa0,\xa02\n", (((0, 0), (1, 2)),)),       # NBSP
+        ("0,0\n\uff11,\uff12\n", (((0, 0), (1, 2)),)),     # full-width digits
+        ("0,0\n1\x1f,2\n", (((0, 0), (1, 2)),)),          # unit separator
+        ("0,0\nInfinity,-inf\n", (((0, 0), (math.inf, -math.inf)),)),
+        ("0,0\n1e5000,2\n", (((0, 0), (math.inf, 2)),)),  # overflows to inf
+        ("0,0\n1,2,\n", (((0, 0), (1, 2)),)),             # trailing comma
+        ("0,0,9\n1,1,9\n2,0,9\n", (((0, 0), (1, 1), (2, 0)),)),  # 3 columns
     ])
     def test_accepted(self, text, segments):
         assert parsed(text) == segments
@@ -277,12 +288,24 @@ class TestCSVContract:
         # three cells then one: the cell count alone looks right
         ("0,0\n1,1\n\n5,2,9\n6\n", "line 5: expected two columns, got '6'"),
         ("x\n0,0\n1,1\n", "line 1: expected two columns, got 'x'"),
+        ("0,0\n1,2 # c\n", "line 2: non-numeric row '1,2 # c'"),
+        ('0,0\n"1",2\n', "line 2: non-numeric row '\"1\",2'"),
+        ("0,0\n0x1p3,2\n", "line 2: non-numeric row '0x1p3,2'"),
+        ("0,0\n1d3,2\n", "line 2: non-numeric row '1d3,2'"),
+        ("0,0\n1,2;3\n", "line 2: non-numeric row '1,2;3'"),
     ])
     def test_rejected(self, text, error):
         assert parsed(text) == (ValueError, error)
         with pytest.raises(ValueError) as exc:
             read_csv_reference(text)
         assert str(exc.value) == error
+
+    @pytest.mark.parametrize("cell", ["-nan", "nan", "NaN"])
+    def test_nan_cell(self, cell):
+        text = f"0,0\n1,{cell}\n"
+        # repr, as nan is not equal to itself
+        assert repr(parsed(text)) == repr(tuple(read_csv_reference(text))) \
+            == "(((0.0, 0.0), (1.0, nan)),)"
 
     @pytest.mark.parametrize("text", ["\n\n", "", "x,y\n \nt,v\n"])
     def test_no_rows(self, text):

@@ -158,6 +158,13 @@ class TestScaleSafety:
         B = RPTSet((RPTFeature(0.0, 1000.0), RPTFeature(0.0, 1.0)))
         assert wasserstein(A, B, 200, DIAGONAL) == 0.0
 
+    def test_overflowing_scaled_cost_is_silent(self):
+        # the bottleneck value 1e-300 is the scale: the 1e308 costs divided
+        # by it overflow, and no optimal matching uses them
+        A = RPTSet(np.array([[0.0, 1.0], [1e308, 1.0]]))
+        B = RPTSet(np.array([[1e-300, 1.0], [1e308, 1.0]]))
+        assert wasserstein(A, B, 2.0, PAD_ORIGIN) == 1e-300
+
 
 TRANSFORMS = (persistence_transformation, reduced_persistence_transformation,
               lambda m: to_persistence_diagram(persistence_transformation(m)))
