@@ -11,12 +11,21 @@ p = inf): sending both ends of any other edge to the diagonal and pairing
 their diagonal copies at cost 0 is no worse.  Diagonal copies pair only at
 kept edges, and a point of finite slack with no kept edge goes to the
 diagonal outright.  The answer equals the full bordered matrix's.
+
+No n×m cost block is built for it.  A kept edge has
+``|x_i - x_j| <= c <= 2^(1/p) max(s_i, s_j) <= 2 max(s_i, s_j)`` on
+column 0 (x for PT and RPT, birth for PD), since c is a sup over columns.
+So one sort of column 0 and a window of radius ``2 (1 + 2^-40) s`` around
+each point, searched from both sides, list every edge that any p keeps,
+and the sup cost and the rule are computed on those candidates only.  The
+margin covers rounding; an infinite radius or a NaN window end (inf - inf)
+opens the window to every point.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from typing import Sequence, Union
 
 import numpy as np
@@ -89,7 +98,7 @@ def solve_assignment(cost, objective: str = "sum") -> MatchResult:
         raise ValueError("cost matrix must be square")
     if M.size == 0:
         return MatchResult((), 0.0)
-    if np.isnan(M).any() or (M < 0).any():
+    if not (M >= 0).all():  # NaN fails this too
         raise ValueError("cost entries must be nonnegative or +inf")
 
     if objective == "sum":
@@ -176,19 +185,20 @@ def morse_distance(K: MorseSet, L: MorseSet, p: float = 2.0) -> float:
 TransformSet = Union[PTSet, RPTSet, PDSet]
 
 
-def _points(s: TransformSet) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``s`` and their slacks, the sup-norm distance to the
-    zero-persistence locus: the RPT persistence, or (birth - death) / 2 for
-    PT and PD, halved first so it cannot overflow.  NaN raises."""
-    a = s.array
-    if isinstance(s, RPTSet):
-        slack = a[:, 1]
+def _points(*sets: TransformSet) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``sets``, all of one kind, stacked, and their slacks, the
+    sup-norm distance to the zero-persistence locus: the RPT persistence, or
+    (birth - death) / 2 for PT and PD, halved first so it cannot overflow.
+    NaN raises."""
+    cols = np.concatenate([s.array.T for s in sets], axis=1)
+    if isinstance(sets[0], RPTSet):
+        slack = cols[1]
     else:  # an infinite birth minus an equal death is NaN, raised below
         with np.errstate(invalid="ignore"):
-            slack = a[:, -2] / 2.0 - a[:, -1] / 2.0
-    if np.isnan(a).any() or np.isnan(slack).any():
+            slack = cols[-2] / 2.0 - cols[-1] / 2.0
+    if np.isnan(cols).any() or np.isnan(slack).any():
         raise ValueError("transform point or slack is NaN")
-    return a, slack
+    return cols.T, slack
 
 
 def _sup_block(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -202,29 +212,108 @@ def _sup_block(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return block
 
 
-def _pruned_matrix(c, sa, sb, p: float) -> tuple[np.ndarray, list]:
-    """The pruned diagonal-slack matrix of the sup block ``c`` and the
-    dropped points' slacks.  The rule is taken relative to
-    ``t = max(s_i, s_j)``, so no power overflows."""
-    t = np.maximum.outer(sa, sb)
-    keep = (c <= t) & np.isfinite(c)
-    if not math.isinf(p):  # c^p <= 2 t^p, so only t < c <= 2^(1/p) t is open
-        i, j = np.nonzero((c > t) & (c / 2.0 ** (1.0 / p) <= t))
-        s, u = np.minimum(sa[i], sb[j]), t[i, j]
-        keep[i, j] = (c[i, j] / u) ** p <= 1.0 + (s / u) ** p
-    rows = keep.any(axis=1) | np.isinf(sa)
-    cols = keep.any(axis=0) | np.isinf(sb)
-    c = np.where(keep, c, math.inf)[rows][:, cols]
-    n, m = c.shape
-    raw = np.full((n + m, n + m), math.inf)
-    raw[:n, :m] = c
-    raw[np.arange(n), m + np.arange(n)] = sa[rows]
-    raw[n + np.arange(m), np.arange(m)] = sb[cols]
-    # copies pair at 0 only at transposes of kept edges: an all-0 block gives
-    # the same answer but a slower solve, 14.5 against 5.7-6.3 ms per
-    # diagram_matching op (RPT W2: 11.2 against 3.8 ms) on a 2-core Xeon
-    raw[n:, m:][np.isfinite(c.T)] = 0.0
-    return raw, sa[~rows].tolist() + sb[~cols].tolist()
+# the window radius per unit of slack: 2 bounds 2^(1/p) at every p >= 1, and
+# 1 + 2^-40 covers the rounding of the radius, the window ends and the rule
+_REACH = 2.0 * (1.0 + 2.0 ** -40)
+
+
+def _candidates(P: np.ndarray, s: np.ndarray, n: int):
+    """The pairs (i, j), i < n <= j, of rows of ``P`` (both sides' points,
+    the first side's n first) whose gap in column 0 is at most ``_REACH``
+    times the slack ``s`` of i or of j, with their ``sup_dist`` costs c: a
+    superset of the edges that any p keeps, a pair in reach of both ends
+    listed twice.  One sort of column 0 and a window per point find them."""
+    cols = P.T  # contiguous for the points _points stacks
+    x = cols[0]
+    order = x.argsort()
+    xs = x[order]
+    # a radius or window end may overflow, and inf - inf is NaN: a NaN
+    # window end opens the window, and equal infinities cost nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _REACH * s
+        lo = xs.searchsorted(np.fmax(x - r, -math.inf))
+        hi = xs.searchsorted(np.fmin(x + r, math.inf), "right")
+        counts = hi - lo
+        q = np.arange(x.size).repeat(counts)
+        at = order[np.arange(q.size)
+                   + (lo + counts - counts.cumsum()).repeat(counts)]
+        cross = (q < n) != (at < n)
+        q, at = q[cross], at[cross]
+        i, j = np.minimum(q, at), np.maximum(q, at)
+        d = np.abs(cols.take(i, axis=1) - cols.take(j, axis=1))
+        return i, j, np.fmax.reduce(d, axis=0, initial=0.0)
+
+
+def _pruned(P: np.ndarray, s: np.ndarray, n: int, ps: Sequence[float]):
+    """For each of ``ps``, the pruned diagonal-slack matrix of the points
+    ``P`` (the first side's n first) with slacks ``s``, a new one each time;
+    the flat indices and values of its kept costs and slack diagonals; and
+    the dropped points' slacks.  The candidates are found once, and a p that
+    keeps the same edges as the p before it reuses its layout.  The rule is
+    taken relative to ``t = max(s_i, s_j)``, so no power overflows."""
+    i, j, c = _candidates(P, s, n)
+    si, sj = s[i], s[j]
+    t = np.maximum(si, sj)
+    within = (c <= t) & (c < math.inf)
+    last = None
+    for p in ps:
+        keep = within
+        if not math.isinf(p):  # c^p <= 2 t^p: only t < c <= 2^(1/p) t is open
+            k = ((c > t) & (c / 2.0 ** (1.0 / p) <= t)).nonzero()[0]
+            u = t[k]
+            keep = within.copy()
+            keep[k] = (c[k] / u) ** p <= 1.0 + (
+                np.minimum(si[k], sj[k]) / u) ** p
+        if last is None or (keep != last).any():
+            last = keep
+            ik, jk = i[keep], j[keep]
+            alive = np.isinf(s)
+            alive[ik] = alive[jk] = True
+            rank = alive.cumsum() - 1
+            N = np.count_nonzero(alive)
+            na = np.count_nonzero(alive[:n])
+            ik, jk = rank[ik], rank[jk] - na
+            # a point meets its own copy at its slack: row k of the first
+            # side at column N - na + k, row na + k of the second at column k
+            diag = np.arange(N) * (N + 1) + (N - na)
+            diag[na:] -= N
+            cells = np.concatenate((ik * N + jk, diag))
+            vals = np.concatenate((c[keep], s[alive]))
+            # copies pair at 0 only at transposes of kept edges: an all-0
+            # block gives the same answer but a slower solve, 14.5 against
+            # 5.7-6.3 ms per diagram_matching op (RPT W2: 11.2 against
+            # 3.8 ms) on a 2-core Xeon
+            zeros = (na + jk) * N + (N - na) + ik
+            dropped = s[~alive].tolist()
+        raw = np.empty(N * N)
+        raw.fill(math.inf)
+        raw[cells] = vals
+        raw[zeros] = 0.0
+        yield raw.reshape(N, N), cells, vals, dropped
+
+
+def _scaled(raw, cells, vals, p: float) -> np.ndarray:
+    """``(raw / scale) ** p`` for the sum solve at finite p, from ``vals``,
+    the entries of ``raw`` at the flat ``cells``, written into ``raw``; or,
+    if ``cells`` is None, from all of ``raw`` (which is ``vals``) into a new
+    matrix.  The other cells are 0 or inf, which the power keeps.  ``scale``
+    is the largest finite value, or the bottleneck value if the least
+    positive one would scale to 0."""
+    top = vals.max(where=np.isfinite(vals), initial=0.0) or 1.0
+    least = vals.min(where=vals > 0, initial=math.inf)
+    # if the least positive cost scales to 0, such costs all tie: scale by
+    # the bottleneck value (the least cost if that is 0)
+    scale = top if (least / top) ** p > 0 else max(
+        solve_assignment(raw, objective="bottleneck").cost, least)
+    # a cost that overflows here exceeds the bottleneck by more than n^(1/p),
+    # so no optimal matching uses it
+    with np.errstate(over="ignore"):
+        scaled = np.divide(vals, scale)
+        np.power(scaled, p, out=scaled)
+    if cells is None:
+        return scaled
+    raw.put(cells, scaled)
+    return raw
 
 
 def wasserstein(A: TransformSet, B: TransformSet, p: float = 2.0,
@@ -250,44 +339,38 @@ def wasserstein(A: TransformSet, B: TransformSet, p: float = 2.0,
 def _distances(A: TransformSet, B: TransformSet, ps: Sequence[float],
                slack: str) -> list[float]:
     """:func:`wasserstein` at each of ``ps``: the checks, the points and the
-    sup block are made once, the prune and the solve once per p."""
+    sup block (``pad-origin``) or the candidate edges (``diagonal``) are
+    made once, the prune and the solve once per p."""
     ps = [_check_p(p) for p in ps]
     if type(A) is not type(B):
         raise KindMismatchError(
             f"cannot compare {type(A).__name__} with {type(B).__name__}")
     if slack not in (DIAGONAL, PAD_ORIGIN):
         raise ValueError(f"unknown slack policy {slack!r}")
-    (pa, sa), (pb, sb) = _points(A), _points(B)
-    if slack == DIAGONAL and ((sa < 0).any() or (sb < 0).any()):
+    n = len(A.array)
+    P, s = _points(A, B)
+    if slack == DIAGONAL and (s < 0).any():
         raise ValueError("diagonal slack must not be negative")
     if slack == PAD_ORIGIN:
         # zero rows pad the smaller set; np.pad is 10x slower on small sets
-        n = max(len(pa), len(pb))
-        pa, pb = (np.concatenate([q, np.zeros((n - len(q), q.shape[1]))])
-                  for q in (pa, pb))
-    block = _sup_block(pa, pb)
+        m = max(n, len(P) - n)
+        pa, pb = (np.concatenate([q, np.zeros((m - len(q), q.shape[1]))])
+                  for q in (P[:n], P[n:]))
+        block = _sup_block(pa, pb)
+        instances = repeat((block, None, block, []))
+    else:
+        instances = _pruned(P, s, n, ps)
     out = []
     try:
-        for p in ps:
-            raw, costs = (_pruned_matrix(block, sa, sb, p)
-                          if slack == DIAGONAL else (block, []))
+        for p, (raw, cells, vals, dropped) in zip(ps, instances):
             if math.isinf(p):
-                costs.append(
-                    solve_assignment(raw, objective="bottleneck").cost)
+                matched = [solve_assignment(raw, objective="bottleneck").cost]
             else:
-                top = raw.max(where=np.isfinite(raw), initial=0.0) or 1.0
-                least = raw.min(where=raw > 0, initial=math.inf)
-                # if the least positive cost scales to 0, such costs all tie:
-                # scale by the bottleneck value (the least cost if that is 0)
-                scale = top if (least / top) ** p > 0 else max(
-                    solve_assignment(raw, objective="bottleneck").cost, least)
-                # a cost that overflows here exceeds the bottleneck by more
-                # than n^(1/p), so no optimal matching uses it
-                with np.errstate(over="ignore"):
-                    scaled = np.divide(raw, scale)
-                    np.power(scaled, p, out=scaled)
-                costs += [raw[ij] for ij in solve_assignment(scaled).pairs]
-            out.append(_aggregate(costs, p))
+                pairs = solve_assignment(_scaled(raw, cells, vals, p)).pairs
+                if cells is not None:  # _scaled wrote into raw: undo that
+                    raw.put(cells, vals)
+                matched = [raw.item(ij) for ij in pairs]
+            out.append(_aggregate(dropped + matched, p))
     except InfeasibleError:
         raise UnmatchableInfinityError(
             "an infinite-coordinate point has no admissible partner") from None

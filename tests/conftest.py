@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -7,10 +8,14 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 # Property tests draw the same examples on every run, so they cannot flake,
-# and a fixed budget keeps the suite's run time steady.
+# and a fixed budget keeps the suite's run time steady.  MORSEPEAK_HYPOTHESIS
+# picks the profile: "tier1" (the default) or "thorough", ten times the
+# examples, for a longer run of chosen tests.
 settings.register_profile("tier1", derandomize=True, deadline=None,
                           max_examples=100, database=None)
-settings.load_profile("tier1")
+settings.register_profile("thorough", derandomize=True, deadline=None,
+                          max_examples=1000, database=None)
+settings.load_profile(os.environ.get("MORSEPEAK_HYPOTHESIS", "tier1"))
 
 from morsepeak import MorseSet, extract_critical_points
 

@@ -5,9 +5,11 @@ CSV oracle parses one line at a time, the extraction oracle walks the
 samples one by one, the pairing oracle sweeps a densely interpolated sample
 sequence, the diagram oracle is derived from that sweep, the transform
 rows are built one object at a time from it, the assignment/matching
-oracles enumerate permutations, and the dense Wasserstein oracle solves
-the full diagonal-bordered matrix unpruned, built entry by entry with
-``sup_dist`` rather than by the library's matrix code.
+oracles enumerate permutations, the dense Wasserstein oracle solves the
+full diagonal-bordered matrix unpruned, built entry by entry with
+``sup_dist`` rather than by the library's matrix code, and the dense prune
+oracle applies the slack prune to every entry of that matrix where the
+library searches a sorted window for candidate edges.
 """
 from __future__ import annotations
 
@@ -263,8 +265,8 @@ def zero_padded(pa, pb):
     """The rows of two point arrays as tuples, the shorter list padded with
     all-zero points to the length of the longer."""
     n = max(len(pa), len(pb))
-    return ([tuple(r) for r in q] + [(0.0,) * q.shape[1]] * (n - len(q))
-            for q in (pa, pb))
+    return ([tuple(r) for r in q.tolist()]
+            + [(0.0,) * q.shape[1]] * (n - len(q)) for q in (pa, pb))
 
 
 def per_entry_cost_matrix(pa, sa, pb, sb, slack):
@@ -276,6 +278,8 @@ def per_entry_cost_matrix(pa, sa, pb, sb, slack):
         pa, pb = zero_padded(pa, pb)
         return np.array([[sup_dist(a, b) for b in pb] for a in pa])
     n, m = len(pa), len(pb)
+    # Python floats: a difference that overflows is inf, without a warning
+    pa, pb = pa.tolist(), pb.tolist()
     raw = np.full((n + m, n + m), math.inf)
     for i in range(n):
         for j in range(m):
@@ -287,6 +291,49 @@ def per_entry_cost_matrix(pa, sa, pb, sb, slack):
     return raw
 
 
+def dense_pruned_matrix(pa, sa, pb, sb, p: float):
+    """The pruned diagonal-slack matrix and the dropped points' slacks, with
+    the prune rule applied to every entry of the n×m ``sup_dist`` block of
+    :func:`per_entry_cost_matrix` rather than to candidate edges: edge
+    (i, j) stays if its cost c is finite and ``c^p <= s_i^p + s_j^p``
+    (``c <= max(s_i, s_j)`` at p = inf), tested relative to
+    ``t = max(s_i, s_j)``; a point of finite slack and no kept edge is
+    dropped; diagonal copies pair at 0 at the transposes of kept edges."""
+    n, m = len(pa), len(pb)
+    sa, sb = np.asarray(sa, dtype=float), np.asarray(sb, dtype=float)
+    c = per_entry_cost_matrix(pa, sa, pb, sb, "diagonal")[:n, :m]
+    t = np.maximum.outer(sa, sb)
+    keep = (c <= t) & np.isfinite(c)
+    if not math.isinf(p):  # c^p <= 2 t^p, so only t < c <= 2^(1/p) t is open
+        i, j = np.nonzero((c > t) & (c / 2.0 ** (1.0 / p) <= t))
+        s, u = np.minimum(sa[i], sb[j]), t[i, j]
+        keep[i, j] = (c[i, j] / u) ** p <= 1.0 + (s / u) ** p
+    rows = keep.any(axis=1) | np.isinf(sa)
+    cols = keep.any(axis=0) | np.isinf(sb)
+    c = np.where(keep, c, math.inf)[rows][:, cols]
+    n, m = c.shape
+    raw = np.full((n + m, n + m), math.inf)
+    raw[:n, :m] = c
+    raw[np.arange(n), m + np.arange(n)] = sa[rows]
+    raw[n + np.arange(m), np.arange(m)] = sb[cols]
+    raw[n:, m:][np.isfinite(c.T)] = 0.0
+    return raw, sa[~rows].tolist() + sb[~cols].tolist()
+
+
+def dense_scaled(raw, p: float):
+    """``(raw / scale) ** p`` over the whole matrix: ``scale`` is its largest
+    finite entry, or the bottleneck value if the least positive entry would
+    scale to 0."""
+    top = raw.max(where=np.isfinite(raw), initial=0.0) or 1.0
+    least = raw.min(where=raw > 0, initial=math.inf)
+    scale = top if (least / top) ** p > 0 else max(
+        solve_assignment(raw, objective="bottleneck").cost, least)
+    scaled = np.divide(raw, scale)
+    with np.errstate(over="ignore"):
+        np.power(scaled, p, out=scaled)
+    return scaled
+
+
 def dense_wasserstein(A, B, p: float) -> float:
     """Diagonal-slack Wasserstein distance from one solve of the full
     ``(n+m)^2`` bordered matrix of :func:`per_entry_cost_matrix`, with the
@@ -296,14 +343,7 @@ def dense_wasserstein(A, B, p: float) -> float:
     try:
         if math.isinf(p):
             return solve_assignment(raw, objective="bottleneck").cost
-        top = raw.max(where=np.isfinite(raw), initial=0.0) or 1.0
-        least = raw.min(where=raw > 0, initial=math.inf)
-        scale = top if (least / top) ** p > 0 else max(
-            solve_assignment(raw, objective="bottleneck").cost, least)
-        scaled = np.divide(raw, scale)
-        with np.errstate(over="ignore"):
-            np.power(scaled, p, out=scaled)
-        pairs = solve_assignment(scaled).pairs
+        pairs = solve_assignment(dense_scaled(raw, p)).pairs
         return _aggregate([raw[ij] for ij in pairs], p)
     except InfeasibleError:
         raise UnmatchableInfinityError("no admissible partner") from None

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from morsepeak import (DIAGONAL, PAD_ORIGIN, ConstantSegmentError, GenParams,
                        reduced_persistence_transformation, solve_assignment,
                        sup_dist, to_persistence_diagram, wasserstein)
 from morsepeak import metrics
-from morsepeak.metrics import (_points, _points as _pd_points,
+from morsepeak.metrics import (_candidates, _points, _points as _pd_points,
                                _points as _pt_points, _points as _rpt_points,
-                               _sup_block, InfeasibleError)
+                               _pruned, _scaled, _sup_block, InfeasibleError)
 from oracles import (brute_force_assignment, brute_force_wasserstein,
-                     dense_wasserstein, morse_distance_direct,
-                     per_entry_cost_matrix, zero_padded)
+                     dense_pruned_matrix, dense_scaled, dense_wasserstein,
+                     morse_distance_direct, per_entry_cost_matrix,
+                     zero_padded)
 
 INF = math.inf
 
@@ -190,13 +192,16 @@ class TestCostMatrix:
                 for A, B in ((make(K), make(L)), (make(K), extra),
                              (extra, make(L)), (extra, extra)):
                     (pa, sa), (pb, sb) = _points(A), _points(B)
+                    assert np.isinf(pa).any() and np.isinf(pb).any()
                     want = per_entry_cost_matrix(pa, sa, pb, sb, slack)
                     if slack == PAD_ORIGIN:  # as wasserstein pads them
-                        pa, pb = map(np.array, zero_padded(pa, pb))
-                    else:  # the sup_dist block of the bordered matrix
-                        want = want[:len(pa), :len(pb)]
-                    assert np.isinf(pa).any() and np.isinf(pb).any()
-                    assert np.array_equal(_sup_block(pa, pb), want)
+                        got = _sup_block(*map(np.array, zero_padded(pa, pb)))
+                    else:  # the sup_dist block's entries at the candidates
+                        n = len(pa)
+                        i, j, got = _candidates(*_points(A, B), n)
+                        assert ((i < n) & (j >= n)).all()
+                        want = want[i, j - n]
+                    assert np.array_equal(got, want)
 
 
 class TestAssignment:
@@ -456,8 +461,87 @@ def outcome(f, *args):
         return type(exc)
 
 
+def assert_same_instance(A, B):
+    """The library's bordered matrix, dropped slacks and scaled matrix for
+    A and B equal the dense prune oracle's exactly, at every p of GRID_P."""
+    (pa, sa), (pb, sb) = _points(A), _points(B)
+    instances = _pruned(*_points(A, B), len(pa), GRID_P)
+    for p, (raw, cells, vals, dropped) in zip(GRID_P, instances):
+        want, want_dropped = dense_pruned_matrix(pa, sa, pb, sb, p)
+        assert np.array_equal(raw, want) and dropped == want_dropped
+        assert np.array_equal(raw.ravel()[cells], vals)
+        if not math.isinf(p):  # _scaled writes into raw
+            got = outcome(_scaled, raw, cells, vals, p)
+            scaled = outcome(dense_scaled, want, p)
+            if isinstance(scaled, type):
+                assert got is scaled
+            else:
+                assert np.array_equal(got, scaled)
+
+
+ULP_6, ULP_300 = np.spacing(1e6), np.spacing(1e300)
+EDGE_CASES = {
+    # c = 2 s exactly: kept at p = 1 only
+    "reach at p = 1": (RPTSet(np.array([[0.0, 1.0]])),
+                       RPTSet(np.array([[2.0, 1.0]]))),
+    "reach at p = 1, PT": (PTSet(np.array([[0.0, 2.0, 0.0]]), ()),
+                           PTSet(np.array([[2.0, 2.0, 0.0]]), ())),
+    # the gap 4 + 2^-51 rounds to c = 4 = 2 s, but x_i + 2 s and x_j - 2 s
+    # round to the near side of the other point: only the margin reaches it
+    "rounded gap at reach": (RPTSet(np.array([[np.nextafter(-3.0, -INF),
+                                               2.0]])),
+                             RPTSet(np.array([[1.0, 2.0]]))),
+    # neighbours one ulp apart, far out on x, with tiny slacks
+    "ulp at 1e6": (RPTSet(np.array([[1e6, 1e-300], [1e6, ULP_6 / 2]])),
+                   RPTSet(np.array([[1e6 + ULP_6, 1e-300],
+                                    [1e6 + ULP_6, ULP_6 / 2]]))),
+    "ulp at 1e300": (RPTSet(np.array([[1e300, 1e-300],
+                                      [1e300, ULP_300 / 2]])),
+                     RPTSet(np.array([[1e300 + ULP_300, 1e-300],
+                                      [1e300 + ULP_300, ULP_300 / 2]]))),
+    "subnormal slacks": (RPTSet(np.array([[0.0, 5e-324], [1e-323, 1e-323]])),
+                         RPTSet(np.array([[1e-323, 5e-324],
+                                          [2e-323, 1e-323]]))),
+    # 2 s overflows to inf, and so do the window ends
+    "2 s overflows": (RPTSet(np.array([[0.0, 1e308], [-1.7e308, 1.0]])),
+                      RPTSet(np.array([[1.5e308, 1e308],
+                                       [1.7e308, 1.7e308]]))),
+    "2 s overflows, PT": (PTSet(np.array([[0.0, 1.7e308, -1.7e308]]), ()),
+                          PTSet(np.array([[1.0e308, 1.6e308, -1.7e308],
+                                          [5.0, 1.0, 0.0]]), ())),
+    # essentials: infinite slack, every point in reach
+    "essentials": (RPTSet(np.array([[0.0, INF], [40.0, 1.0]])),
+                   RPTSet(np.array([[100.0, INF], [41.0, 3.0],
+                                    [90.0, INF]]))),
+    "empty side": (RPTSet(np.array([[0.0, 2.0], [5.0, INF]])),
+                   RPTSet(np.empty((0, 2)))),
+    "both empty": (PDSet(np.empty((0, 2))), PDSet(np.empty((0, 2)))),
+}
+
+
 class TestPrunedMatching:
     """The pruned diagonal-slack matching against the full dense matrix."""
+
+    @given(grid_pts(), grid_pts())
+    def test_instance_matches_dense_prune(self, pa, pb):
+        for A, B in zip(kinds_of(pa), kinds_of(pb)):
+            assert_same_instance(A, B)
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_instance_edge_cases(self, case):
+        A, B = EDGE_CASES[case]
+        assert_same_instance(A, B)
+        assert_same_instance(B, A)
+
+    @pytest.mark.parametrize("kind", range(3))
+    def test_instance_null_decoded(self, kind):
+        extra = NULL_DECODED[kind]
+        K = random_morse_set(GenParams(peak_count_range=(3, 3), seed=kind))
+        other = TRANSFORMS[kind](K)
+        empty = (PTSet((), ()), RPTSet(()), PDSet(()))[kind]
+        for A, B in ((extra, extra), (extra, other), (other, extra),
+                     (extra, empty)):
+            assert_same_instance(A, B)
 
     @given(grid_pts(), grid_pts())
     def test_matches_dense_oracle(self, pa, pb):
@@ -507,3 +591,18 @@ class TestPrunedMatching:
         wasserstein(pa, pb, 2, DIAGONAL)
         n = len(pa.features) + len(pb.features)
         assert cells and sum(cells) < n * n / 4
+
+    @pytest.mark.parametrize("p", [2, INF])
+    def test_memory_below_one_block(self, p):
+        # candidate edges replace the n×m sup block: the peak of one call
+        # stays below that block alone
+        pa, pb = self.spectrum_pts(800)
+        block = 8 * len(pa.features) * len(pb.features)
+        wasserstein(pa, pb, p, DIAGONAL)
+        tracemalloc.start()
+        try:
+            wasserstein(pa, pb, p, DIAGONAL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block, (peak, block)
