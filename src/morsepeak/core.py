@@ -46,17 +46,13 @@ class CriticalPoint:
     y: float
     kind: Kind
 
-    def colex_key(self) -> tuple[float, float]:
-        # value first, position breaks ties
-        return (self.y, self.x)
-
     def coords(self) -> tuple[float, float]:
         return (self.x, self.y)
 
 
 def colex_lt(p: CriticalPoint, q: CriticalPoint) -> bool:
     """Strict total order on critical points: compare value, then position."""
-    return p.colex_key() < q.colex_key()
+    return (p.y, p.x) < (q.y, q.x)
 
 
 class _Frozen:

@@ -20,6 +20,9 @@ each point, searched from both sides, list every edge that any p keeps,
 and the sup cost and the rule are computed on those candidates only.  The
 margin covers rounding; an infinite radius or a NaN window end (inf - inf)
 opens the window to every point.
+
+Every array cost, the ``pad-origin`` block and the ``diagonal`` candidates
+alike, goes through ``_sup``; ``sup_dist`` is its scalar form.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ class KindMismatchError(TypeError):
 
 
 class UnmatchableInfinityError(ValueError):
-    """An essential point has no essential partner and no finite-cost slack."""
+    """No matching of the points has a finite cost."""
 
 
 class InfeasibleError(ValueError):
@@ -151,24 +154,15 @@ def _aggregate(costs: Sequence[float], p: float) -> float:
 _ORIGIN = (0.0, 0.0)
 
 
-def _ranked(ms: MorseSet, order: np.ndarray):
-    return zip(ms.xs[order].tolist(), ms.ys[order].tolist())
-
-
-def mstar_pairs(K: MorseSet, L: MorseSet) -> list[tuple[tuple, tuple]]:
-    """Rank matching: i-th maxima and j-th minima of each set are paired;
-    the shorter lists are padded with the origin (0, 0)."""
-    return [pair for a, b in ((K.max_order, L.max_order),
-                              (K.min_order, L.min_order))
-            for pair in zip_longest(_ranked(K, a), _ranked(L, b),
-                                    fillvalue=_ORIGIN)]
-
-
 def _rank_costs(K: MorseSet, L: MorseSet) -> list[float]:
-    """The sup-norm cost of each rank-matched pair; both sets must be valid."""
+    """Sup-norm costs of the rank matching, which pairs the i-th maxima and
+    the i-th minima of K and L and pads with the origin; both must be valid."""
     require_valid(K)
     require_valid(L)
-    return [sup_dist(a, b) for a, b in mstar_pairs(K, L)]
+    return [sup_dist(a, b) for ko, lo in ((K.max_order, L.max_order),
+                                          (K.min_order, L.min_order))
+            for a, b in zip_longest(K.xy(ko).tolist(), L.xy(lo).tolist(),
+                                    fillvalue=_ORIGIN)]
 
 
 def morse_distance(K: MorseSet, L: MorseSet, p: float = 2.0) -> float:
@@ -201,15 +195,16 @@ def _points(*sets: TransformSet) -> tuple[np.ndarray, np.ndarray]:
     return cols.T, slack
 
 
-def _sup_block(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """``sup_dist`` of every row pair of ``pa`` and ``pb``, by coordinate."""
-    block = np.zeros((len(pa), len(pb)))
-    for u, v in zip(pa.T, pb.T):
-        u = u[:, None]
-        # equal coordinates, equal infinities included, contribute nothing
-        diff = np.subtract(u, v, out=np.zeros(block.shape), where=u != v)
-        np.maximum(block, np.abs(diff, out=diff), out=block)
-    return block
+def _sup(us, vs) -> np.ndarray:
+    """``sup_dist`` of ``us`` and ``vs``, one array per coordinate, broadcast:
+    equal infinities differ by NaN, which ``fmax`` skips, so they cost
+    nothing, and a difference past the largest double is inf."""
+    c = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u, v in zip(us, vs):
+            d = np.subtract(u, v)
+            c = np.fmax(c, np.abs(d, out=d), out=d)
+    return c
 
 
 # the window radius per unit of slack: 2 bounds 2^(1/p) at every p >= 1, and
@@ -228,20 +223,19 @@ def _candidates(P: np.ndarray, s: np.ndarray, n: int):
     order = x.argsort()
     xs = x[order]
     # a radius or window end may overflow, and inf - inf is NaN: a NaN
-    # window end opens the window, and equal infinities cost nothing
+    # window end opens the window
     with np.errstate(over="ignore", invalid="ignore"):
         r = _REACH * s
         lo = xs.searchsorted(np.fmax(x - r, -math.inf))
         hi = xs.searchsorted(np.fmin(x + r, math.inf), "right")
-        counts = hi - lo
-        q = np.arange(x.size).repeat(counts)
-        at = order[np.arange(q.size)
-                   + (lo + counts - counts.cumsum()).repeat(counts)]
-        cross = (q < n) != (at < n)
-        q, at = q[cross], at[cross]
-        i, j = np.minimum(q, at), np.maximum(q, at)
-        d = np.abs(cols.take(i, axis=1) - cols.take(j, axis=1))
-        return i, j, np.fmax.reduce(d, axis=0, initial=0.0)
+    counts = hi - lo
+    q = np.arange(x.size).repeat(counts)
+    at = order[np.arange(q.size)
+               + (lo + counts - counts.cumsum()).repeat(counts)]
+    cross = (q < n) != (at < n)
+    q, at = q[cross], at[cross]
+    i, j = np.minimum(q, at), np.maximum(q, at)
+    return i, j, _sup(cols.take(i, axis=1), cols.take(j, axis=1))
 
 
 def _pruned(P: np.ndarray, s: np.ndarray, n: int, ps: Sequence[float]):
@@ -294,11 +288,10 @@ def _pruned(P: np.ndarray, s: np.ndarray, n: int, ps: Sequence[float]):
 
 def _scaled(raw, cells, vals, p: float) -> np.ndarray:
     """``(raw / scale) ** p`` for the sum solve at finite p, from ``vals``,
-    the entries of ``raw`` at the flat ``cells``, written into ``raw``; or,
-    if ``cells`` is None, from all of ``raw`` (which is ``vals``) into a new
-    matrix.  The other cells are 0 or inf, which the power keeps.  ``scale``
-    is the largest finite value, or the bottleneck value if the least
-    positive one would scale to 0."""
+    the entries of ``raw`` at the flat ``cells``, written into ``raw``.  The
+    other cells are 0 or inf, which the power keeps.  ``scale`` is the
+    largest finite value, or the bottleneck value if the least positive one
+    would scale to 0."""
     top = vals.max(where=np.isfinite(vals), initial=0.0) or 1.0
     least = vals.min(where=vals > 0, initial=math.inf)
     # if the least positive cost scales to 0, such costs all tie: scale by
@@ -310,9 +303,7 @@ def _scaled(raw, cells, vals, p: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         scaled = np.divide(vals, scale)
         np.power(scaled, p, out=scaled)
-    if cells is None:
-        return scaled
-    raw.put(cells, scaled)
+    raw.ravel()[cells] = scaled
     return raw
 
 
@@ -356,8 +347,8 @@ def _distances(A: TransformSet, B: TransformSet, ps: Sequence[float],
         m = max(n, len(P) - n)
         pa, pb = (np.concatenate([q, np.zeros((m - len(q), q.shape[1]))])
                   for q in (P[:n], P[n:]))
-        block = _sup_block(pa, pb)
-        instances = repeat((block, None, block, []))
+        block = _sup(pa.T[:, :, None], pb.T[:, None])
+        instances = repeat((block, slice(None), block.ravel().copy(), []))
     else:
         instances = _pruned(P, s, n, ps)
     out = []
@@ -367,11 +358,11 @@ def _distances(A: TransformSet, B: TransformSet, ps: Sequence[float],
                 matched = [solve_assignment(raw, objective="bottleneck").cost]
             else:
                 pairs = solve_assignment(_scaled(raw, cells, vals, p)).pairs
-                if cells is not None:  # _scaled wrote into raw: undo that
-                    raw.put(cells, vals)
+                raw.ravel()[cells] = vals  # _scaled wrote into raw: undo that
                 matched = [raw.item(ij) for ij in pairs]
             out.append(_aggregate(dropped + matched, p))
     except InfeasibleError:
         raise UnmatchableInfinityError(
-            "an infinite-coordinate point has no admissible partner") from None
+            "no finite-cost matching: an infinite coordinate has no partner, "
+            "or a cost exceeds the largest double") from None
     return out

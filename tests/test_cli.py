@@ -394,6 +394,20 @@ class TestDistance:
                              "--kind", kind, "--p", p)
         assert (code, out) == (2, "") and err.startswith("morsepeak: ")
 
+    @pytest.mark.parametrize("p", ["2", "inf"])
+    def test_cost_past_the_largest_double_exit_2(self, capsys, tmp_path, p):
+        # finite points more than the largest double apart: pad-origin must
+        # match them at an infinite cost, without a RuntimeWarning (which
+        # fails the suite)
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        fa.write_text('{"features": [[-1.7e308, 1.0]]}')
+        fb.write_text('{"features": [[1.7e308, 1.0]]}')
+        code, out, err = run(capsys, "distance", str(fa), str(fb), "--kind",
+                             "rpt", "--slack", "pad-origin", "--p", p)
+        assert (code, out) == (2, "")
+        assert err.startswith("morsepeak: ") and err.count("\n") == 1
+        assert "largest double" in err
+
 
 class TestStability:
     def test_report_and_exit_code(self, capsys, tmp_path):

@@ -16,7 +16,7 @@ from morsepeak import (DIAGONAL, PAD_ORIGIN, ConstantSegmentError, GenParams,
 from morsepeak import metrics
 from morsepeak.metrics import (_candidates, _points, _points as _pd_points,
                                _points as _pt_points, _points as _rpt_points,
-                               _pruned, _scaled, _sup_block, InfeasibleError)
+                               _pruned, _scaled, _sup, InfeasibleError)
 from oracles import (brute_force_assignment, brute_force_wasserstein,
                      dense_pruned_matrix, dense_scaled, dense_wasserstein,
                      morse_distance_direct, per_entry_cost_matrix,
@@ -182,6 +182,23 @@ NULL_DECODED = (PTSet.from_json_dict({"features": [[0.5, None, 1.0],
 
 
 class TestCostMatrix:
+    @staticmethod
+    def assert_per_entry(A, B, slack):
+        """The array costs of A and B equal the oracle's, built entry by
+        entry with ``sup_dist``; returns them."""
+        (pa, sa), (pb, sb) = _points(A), _points(B)
+        want = per_entry_cost_matrix(pa, sa, pb, sb, slack)
+        if slack == PAD_ORIGIN:  # as wasserstein pads them
+            qa, qb = (np.array(q).T for q in zero_padded(pa, pb))
+            got = _sup(qa[:, :, None], qb[:, None])
+        else:  # the sup_dist block's entries at the candidates
+            n = len(pa)
+            i, j, got = _candidates(*_points(A, B), n)
+            assert ((i < n) & (j >= n)).all()
+            want = want[i, j - n]
+        assert np.array_equal(got, want)
+        return got
+
     @pytest.mark.parametrize("slack", [DIAGONAL, PAD_ORIGIN])
     def test_equals_per_entry_sup_dist(self, slack):
         for seed in range(40):
@@ -191,17 +208,26 @@ class TestCostMatrix:
             for make, extra in zip(TRANSFORMS, NULL_DECODED):
                 for A, B in ((make(K), make(L)), (make(K), extra),
                              (extra, make(L)), (extra, extra)):
-                    (pa, sa), (pb, sb) = _points(A), _points(B)
+                    (pa, _), (pb, _) = _points(A), _points(B)
                     assert np.isinf(pa).any() and np.isinf(pb).any()
-                    want = per_entry_cost_matrix(pa, sa, pb, sb, slack)
-                    if slack == PAD_ORIGIN:  # as wasserstein pads them
-                        got = _sup_block(*map(np.array, zero_padded(pa, pb)))
-                    else:  # the sup_dist block's entries at the candidates
-                        n = len(pa)
-                        i, j, got = _candidates(*_points(A, B), n)
-                        assert ((i < n) & (j >= n)).all()
-                        want = want[i, j - n]
-                    assert np.array_equal(got, want)
+                    self.assert_per_entry(A, B, slack)
+
+    # finite coordinates more than the largest double apart; in the PT pair
+    # the first point's window (radius 2 s) overflows and reaches the second
+    OVERFLOWING = ((RPTSet(np.array([[-1.7e308, 1.0]])),
+                    RPTSet(np.array([[1.7e308, 1.0]]))),
+                   (PTSet(np.array([[0.0, 1.7e308, -1.7e308]]), ()),
+                    PTSet(np.array([[0.0, -1.7e308, -1.7e308]]), ())))
+
+    @pytest.mark.parametrize("slack", [DIAGONAL, PAD_ORIGIN])
+    @pytest.mark.parametrize("case", range(len(OVERFLOWING)))
+    def test_overflowing_difference_is_inf(self, slack, case):
+        # silently: a RuntimeWarning fails the suite
+        A, B = self.OVERFLOWING[case]
+        got = self.assert_per_entry(A, B, slack)
+        # the RPT points are out of each other's reach under diagonal slack
+        assert np.isinf(got).all()
+        assert (got.size > 0) == ((slack, case) != (DIAGONAL, 0))
 
 
 class TestAssignment:
@@ -309,6 +335,18 @@ class TestWasserstein:
                     for s in (DIAGONAL, PAD_ORIGIN):
                         assert wasserstein(A, B, p, s) == \
                             pytest.approx(wasserstein(B, A, p, s))
+
+    @pytest.mark.parametrize("p", [2, INF])
+    def test_cost_past_the_largest_double_raises(self, p):
+        # pad-origin must match the two points, at a cost past the largest
+        # double; diagonal slack sends both to the diagonal
+        A = RPTSet(np.array([[-1.7e308, 1.0]]))
+        B = RPTSet(np.array([[1.7e308, 1.0]]))
+        with pytest.raises(UnmatchableInfinityError,
+                           match="or a cost exceeds the largest double"):
+            wasserstein(A, B, p, PAD_ORIGIN)
+        assert wasserstein(A, B, p, DIAGONAL) == (
+            math.sqrt(2.0) if p == 2 else 1.0)
 
     def test_bottleneck_below_finite_p(self):
         for seed in range(20):
@@ -606,3 +644,24 @@ class TestPrunedMatching:
         finally:
             tracemalloc.stop()
         assert peak < block, (peak, block)
+
+
+class TestTriangleInequality:
+    """Diagonal-slack W_p obeys the triangle inequality.  ``pad-origin`` is
+    left out: it pads each pair to its own length, which does not compose."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+           st.integers(0, 2**32 - 1))
+    def test_diagonal(self, k, l, m):
+        K, L = (random_morse_set(GenParams(peak_count_range=(1, 8), seed=s))
+                for s in (k, l))
+        M = perturb(K, 1.0, m)
+        for make in TRANSFORMS:
+            sets = [make(S) for S in (K, L, M)]
+            for p in (1, 2, 1000, INF):
+                d = {}
+                for a, b in itertools.combinations(range(3), 2):
+                    d[a, b] = d[b, a] = wasserstein(sets[a], sets[b], p,
+                                                    DIAGONAL)
+                for a, b, c in itertools.permutations(range(3)):
+                    assert d[a, c] <= (d[a, b] + d[b, c]) * (1 + 1e-9)

@@ -260,7 +260,7 @@ class TestComputedOnce:
                            "persistence_transformation")
         rpts = self.counted(monkeypatch, stability,
                             "reduced_persistence_transformation")
-        blocks = self.counted(monkeypatch, metrics, "_sup_block")
+        blocks = self.counted(monkeypatch, metrics, "_sup")
         run_trials(GenParams(seed=5), trials=20)
         for seen in (validated, paired):
             assert len({id(ms) for ms in seen}) == len(seen)
@@ -269,7 +269,8 @@ class TestComputedOnce:
         # and builds each transform of each of them once, whatever the ps
         for seen in (pts, rpts):
             assert sorted(map(id, seen)) == sorted(map(id, paired))
-        # one sup block per (trial, transform), shared by the three ps
+        # one _sup call, the pad-origin sup block, per (trial, transform),
+        # shared by the three ps; pad-origin never reaches _candidates
         assert len(blocks) == 20 * 2
 
 
