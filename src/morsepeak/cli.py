@@ -21,8 +21,8 @@ from .core import (InvalidMorseSetError, MorseSet, extract_critical_points,
                    read_csv_series)
 from .metrics import (DIAGONAL, PAD_ORIGIN, KindMismatchError, morse_distance,
                       wasserstein)
-from .pairing import (PDSet, PTSet, RPTSet, check_tau, denoise, join_pd,
-                      join_pt, join_rpt, persistence_transformation,
+from .pairing import (PDSet, PTSet, RPTSet, check_tau, denoise, join_pt,
+                      join_rpt, persistence_transformation,
                       reduced_persistence_transformation,
                       to_persistence_diagram)
 from .stability import GenParams, reports_to_json, run_trials
@@ -48,10 +48,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _parse_p(token: str) -> float:
-    if token.strip().lower() in ("inf", "infinity"):
-        return math.inf
     p = float(token)
-    if p < 1:
+    if not p >= 1:  # NaN too
         raise argparse.ArgumentTypeError("p must be >= 1 or 'inf'")
     return p
 
@@ -124,15 +122,14 @@ def cmd_transform(args) -> int:
     check_tau(args.tau)  # for every kind, though it filters PT and PD only
     sets = _load_morse_sets(_read_input(args.input), args.plateau_eps,
                             args.input)
-    if args.kind == "pt":
-        result = join_pt(denoise(persistence_transformation(s), args.tau)
-                         for s in sets)
-    elif args.kind == "rpt":
+    if args.kind == "rpt":
         result = join_rpt(reduced_persistence_transformation(s, args.clip_essential)
                           for s in sets)
-    else:
-        result = join_pd(to_persistence_diagram(
-            denoise(persistence_transformation(s), args.tau)) for s in sets)
+    else:  # a PD is the PT without positions
+        result = join_pt(denoise(persistence_transformation(s), args.tau)
+                         for s in sets)
+        if args.kind == "pd":
+            result = to_persistence_diagram(result)
     if args.svg:
         # looked up on the module at call time, so a wrapped renderer is used
         render = getattr(plots, f"render_{args.kind}")

@@ -404,25 +404,23 @@ def extract_critical_points(series: SampledSeries | Sequence[Sample],
 def _parse_segment(lines: list[str], lineno: int) -> np.ndarray:
     """The ``(n, 2)`` samples of one segment's stripped, non-blank lines,
     the first being line ``lineno``.  From the first numeric row on, the rows
-    go to numpy's C reader whole; if it fails or finds other than two
-    columns, they are scanned line by line."""
+    go to numpy's C reader whole, which reads their first two columns; if it
+    fails, they are scanned line by line."""
     rows: list[Sample] = []
     for n, line in enumerate(lines, lineno):
         cells = line.split(",")
         if len(cells) < 2:
             raise ValueError(f"line {n}: expected two columns, got {line!r}")
         try:
-            rows.append((float(cells[0].strip()), float(cells[1].strip())))
+            rows.append((float(cells[0]), float(cells[1])))
         except ValueError:
             if not rows:
                 continue  # header row of a segment
             raise ValueError(f"line {n}: non-numeric row {line!r}") from None
         if len(rows) == 1:  # the first numeric row: try the rest whole
             with suppress(ValueError):  # a bad row: scan on
-                whole = np.loadtxt(lines[n - lineno:], delimiter=",",
-                                   comments=None, ndmin=2)
-                if whole.shape[1] == 2:
-                    return whole
+                return np.loadtxt(lines[n - lineno:], delimiter=",",
+                                  comments=None, ndmin=2, usecols=(0, 1))
     return np.array(rows).reshape(-1, 2)
 
 

@@ -31,10 +31,10 @@ No n×m cost block is built for it.  A kept edge has
 ``|x_i - x_j| <= c <= 2^(1/p) max(s_i, s_j) <= 2 max(s_i, s_j)`` on
 column 0 (x for PT and RPT, birth for PD), since c is a sup over columns.
 So one sort of column 0 and a window of radius ``2 (1 + 2^-40) s`` around
-each point, searched from both sides, list every edge that any p keeps,
-and the sup cost and the rule are computed on those candidates only.  The
-margin covers rounding; an infinite radius or a NaN window end (inf - inf)
-opens the window to every point.
+each point list every edge that any p keeps, each in the window of its end
+of larger slack, and the sup cost and the rule are computed on those
+candidates only.  The margin covers rounding; an infinite radius or a NaN
+window end (inf - inf) opens the window to every point.
 
 Every array cost, the ``pad-origin`` block and the ``diagonal`` candidates
 alike, goes through ``_sup``; ``sup_dist`` is its scalar form.
@@ -243,9 +243,10 @@ _REACH = 2.0 * (1.0 + 2.0 ** -40)
 def _candidates(P: np.ndarray, s: np.ndarray, n: int):
     """The pairs (i, j), i < n <= j, of rows of ``P`` (both sides' points,
     the first side's n first) whose gap in column 0 is at most ``_REACH``
-    times the slack ``s`` of i or of j, each once, with their ``sup_dist``
-    costs c: a superset of the edges that any p keeps.  One sort of column
-    0 and a window per point find them."""
+    times the larger of their slacks ``s``, each once, with their
+    ``sup_dist`` costs c and their larger and smaller slacks t and v: a
+    superset of the edges that any p keeps.  One sort of column 0 and a
+    window per point find them."""
     cols = P.T  # contiguous for the points _points stacks
     x = cols[0]
     order = x.argsort()
@@ -260,16 +261,14 @@ def _candidates(P: np.ndarray, s: np.ndarray, n: int):
     q = np.arange(x.size).repeat(counts)
     at = order[np.arange(q.size)
                + (lo + counts - counts.cumsum()).repeat(counts)]
-    # a pair in reach of both ends is found from both: keep it from its
-    # first-side end, and from the other only if that window misses it
-    where = np.empty_like(order)
-    where[order] = np.arange(x.size)
-    wq = where[q]
-    once = np.where(q < n, at >= n,
-                    (at < n) & ((wq < lo[at]) | (wq >= hi[at])))
+    # each cross pair is kept from its owner, the end that ranks first by
+    # descending slack, ties by row; the radius grows with the slack and
+    # window ends round monotonically, so its window holds every kept edge
+    rank = (-s).argsort(kind="stable").argsort()
+    once = ((q < n) != (at < n)) & (rank.repeat(counts) < rank[at])
     q, at = q[once], at[once]
     i, j = np.minimum(q, at), np.maximum(q, at)
-    return i, j, _sup(cols.take(i, axis=1), cols.take(j, axis=1))
+    return i, j, _sup(cols.take(i, axis=1), cols.take(j, axis=1)), s[q], s[at]
 
 
 def _pruned(P: np.ndarray, s: np.ndarray, n: int, ps: Sequence[float]):
@@ -278,21 +277,17 @@ def _pruned(P: np.ndarray, s: np.ndarray, n: int, ps: Sequence[float]):
     indices of its finite cells in the N×N bordered matrix, each once and
     ascending, their values, and the dropped points' slacks.  The candidates
     are found once, and a p that keeps the same edges as the p before it
-    gets the same instance.  The rule is taken relative to
-    ``t = max(s_i, s_j)``, so no power overflows."""
-    i, j, c = _candidates(P, s, n)
-    si, sj = s[i], s[j]
-    t = np.maximum(si, sj)
+    gets the same instance.  The rule is taken relative to each edge's
+    larger slack t, so no power overflows."""
+    i, j, c, t, v = _candidates(P, s, n)
     within = (c <= t) & (c < math.inf)
     last = None
     for p in ps:
         keep = within
         if not math.isinf(p):  # c^p <= 2 t^p: only t < c <= 2^(1/p) t is open
             k = ((c > t) & (c / 2.0 ** (1.0 / p) <= t)).nonzero()[0]
-            u = t[k]
             keep = within.copy()
-            keep[k] = (c[k] / u) ** p <= 1.0 + (
-                np.minimum(si[k], sj[k]) / u) ** p
+            keep[k] = (c[k] / t[k]) ** p <= 1.0 + (v[k] / t[k]) ** p
         if last is None or (keep != last).any():
             last = keep
             ik, jk = i[keep], j[keep]

@@ -10,6 +10,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -44,19 +45,20 @@ def random_morse_set(params: GenParams) -> MorseSet:
         raise ValueError("peak_count_range must be a nonempty range of ints >= 1")
     a, b = params.domain
     ylo, yhi = params.height_range
-    if not (a < b and ylo < yhi and np.isfinite([a, b, ylo, yhi]).all()):
-        raise ValueError("domain and height_range must be finite and "
-                         "nondegenerate")
+    mid = 0.5 * (ylo + yhi)
+    # numpy's uniform draw raises OverflowError on a span that is not finite
+    if not (a < b and math.isfinite(b - a)):
+        raise ValueError("domain must be nondegenerate with a finite span")
+    if not (ylo < yhi and np.isfinite([mid - ylo, yhi - mid]).all()):
+        raise ValueError("height_range must be nondegenerate, its halves finite")
     rng = np.random.default_rng(params.seed)
     k = int(rng.integers(lo_k, hi_k + 1))
     n_interior = 2 * k - 1
     while True:
         xs = np.sort(rng.uniform(a, b, n_interior))
-        if (np.unique(xs).size == n_interior
-                and (n_interior == 0 or (xs[0] > a and xs[-1] < b))):
+        if np.unique(xs).size == n_interior and xs[0] > a and xs[-1] < b:
             break
     positions = np.concatenate(([a], xs, [b]))
-    mid = 0.5 * (ylo + yhi)
     heights = np.empty(2 * k + 1)
     heights[0::2] = rng.uniform(ylo, mid, k + 1)
     heights[1::2] = rng.uniform(mid, yhi, k)
@@ -80,8 +82,8 @@ def perturb_with_info(K: MorseSet, epsilon: float,
     order and passes validation, so cardinalities and structure survive; the
     applied fraction is reported.
     """
-    if not 0 <= epsilon < math.inf:
-        raise ValueError("epsilon must be finite and nonnegative")
+    if not 0 <= 2 * epsilon < math.inf:  # the span of each draw
+        raise ValueError("epsilon must be nonnegative, 2 * epsilon finite")
     n = K.xs.size
     if epsilon == 0 or not n:
         return K, PerturbInfo(0.0)
@@ -200,17 +202,16 @@ def run_trials(params: GenParams, trials: int, epsilon: float = 0.1,
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    trial = partial(_trial, params, epsilon=epsilon, ps=ps,
+                    transforms=transforms, slack=slack)
     workers = min(max_workers, trials, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(
-                _trial, [params] * trials, range(trials),
-                [epsilon] * trials, [ps] * trials, [transforms] * trials,
-                [slack] * trials, chunksize=max(1, trials // (4 * workers))))
+            batches = list(pool.map(trial, range(trials), chunksize=max(
+                1, trials // (4 * workers))))
     else:
-        batches = [_trial(params, i, epsilon, ps, transforms, slack)
-                   for i in range(trials)]
+        batches = map(trial, range(trials))
     reports = [r for batch in batches for r in batch]
     if fixture_dir is not None:
         failing = [r for r in reports if not r.holds]

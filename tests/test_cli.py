@@ -358,8 +358,9 @@ class TestDistance:
                         reduced_persistence_transformation(ms))
 
     def test_bad_p_exit_2(self, capsys, e1_csv):
-        code, _, _ = run(capsys, "distance", e1_csv, e1_csv, "--p", "0.5")
-        assert code == 2
+        for p in ("0.5", "nan"):
+            code, _, _ = run(capsys, "distance", e1_csv, e1_csv, "--p", p)
+            assert code == 2
 
     # an even power used to hide the sign of a negative slack at p = 2
     MALFORMED = {
@@ -443,15 +444,41 @@ class TestStability:
         assert err == (f"morsepeak: MORSEPEAK_THREADS={threads!r} "
                        "is not a whole number\n")
 
+    # from 1e308 on, 2 * epsilon or a half of the height range is past the
+    # largest double
     @pytest.mark.parametrize("flag", [
         ["--epsilon", "nan"], ["--epsilon", "inf"], ["--domain", "0", "inf"],
-        ["--heights", "0", "inf"]])
+        ["--heights", "0", "inf"], ["--epsilon", "1e308"],
+        ["--heights", "1e308", "1.7e308"]])
     def test_non_finite_parameter_exit_2(self, capsys, tmp_path, flag):
         report = tmp_path / "report.json"
         code, out, err = run(capsys, "stability", "--trials", "2",
                              "-o", str(report), *flag)
         assert (code, out) == (2, "") and not report.exists()
         assert err.startswith("morsepeak: ") and "finite" in err
+        assert err.count("\n") == 1
+
+    def test_nan_p_exit_2(self, capsys, tmp_path):
+        # even with no trial to run
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "stability", "--trials", "0",
+                             "--p", "nan", "-o", str(report))
+        assert (code, out) == (2, "") and not report.exists()
+        assert "argument --p" in err
+
+    def test_only_pad_origin_equal_cardinality_reports_gate(self, capsys,
+                                                            tmp_path):
+        # the RPT at p = inf fails the constant-1 bound on one of these
+        # reports; it sets the exit code under pad-origin slack only
+        for slack, exit_code in (("pad-origin", 1), ("diagonal", 0)):
+            report = tmp_path / f"{slack}.json"
+            code, _, _ = run(capsys, "stability", "--trials", "2", "--p",
+                             "inf", "--slack", slack, "-o", str(report))
+            doc = json.loads(report.read_text())
+            failing = [r for r in doc if not r["holds"]]
+            assert code == exit_code and len(doc) == 4
+            assert [r["transform"] for r in failing] == ["rpt"]
+            assert failing[0]["equal_cardinality"]
 
     def test_negative_trials_exit_2(self, capsys, tmp_path):
         report = tmp_path / "report.json"

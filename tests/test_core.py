@@ -318,6 +318,20 @@ class TestCSVContract:
             extract_critical_points(series)
         assert str(exc.value) == "sample 1 is not finite: (1.0, nan)"
 
+    def test_extra_columns_stay_on_the_c_reader(self, monkeypatch):
+        # the C reader reads the first two columns of ragged rows, so no
+        # line scan rebuilds its array
+        from morsepeak import core
+        returned = []
+
+        def loadtxt(*args, _real=core.np.loadtxt, **kwargs):
+            returned.append(_real(*args, **kwargs))
+            return returned[-1]
+        monkeypatch.setattr(core.np, "loadtxt", loadtxt)
+        (arr,) = read_csv_series("x,y\n0,0,9\n1,3\n2,1,a,b\n").arrays
+        assert len(returned) == 1 and arr is returned[0]
+        assert arr.tolist() == [[0, 0], [1, 3], [2, 1]]
+
     def test_segments_are_read_only_arrays(self):
         series = read_csv_series("x,y\n0,0\n1,3\n2,1\n")
         (arr,) = series.arrays

@@ -203,7 +203,7 @@ class TestCostMatrix:
             got = _sup(qa[:, :, None], qb[:, None])
         else:  # the sup_dist block's entries at the candidates
             n = len(pa)
-            i, j, got = _candidates(*_points(A, B), n)
+            i, j, got, *_ = _candidates(*_points(A, B), n)
             assert ((i < n) & (j >= n)).all()
             want = want[i, j - n]
         assert np.array_equal(got, want)
@@ -730,8 +730,8 @@ class TestSparseSolve:
                 assert_sparse_matches_dense(A, B)
 
     def test_solvers_see_canonical_graphs(self, monkeypatch):
-        # the window search finds a pair in reach of both ends twice, and a
-        # duplicate cell makes the sparse solvers go wrong or abort
+        # a pair in reach of both ends lies in both windows but must be kept
+        # once: a duplicate cell makes the sparse solvers go wrong or abort
         calls = []
         for name in ("maximum_bipartite_matching",
                      "min_weight_full_bipartite_matching"):
@@ -746,7 +746,7 @@ class TestSparseSolve:
         pa, pb = TestPrunedMatching.spectrum_pts()
         for A, B in zip(kinds_of(pa), kinds_of(pb)):
             P, s = _points(A, B)
-            i, j, _ = _candidates(P, s, len(A.array))
+            i, j, *_ = _candidates(P, s, len(A.array))
             assert np.unique(i * len(P) + j).size == i.size
             for p in (1, 2, INF):
                 want = wasserstein(A, B, p, DIAGONAL)

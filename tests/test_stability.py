@@ -45,7 +45,10 @@ class TestGenerator:
     @pytest.mark.parametrize("params", [
         GenParams(domain=(0.0, math.inf)), GenParams(domain=(-math.inf, 0.0)),
         GenParams(height_range=(0.0, math.inf)),
-        GenParams(height_range=(math.nan, 1.0))])
+        GenParams(height_range=(math.nan, 1.0)),
+        # finite ends, but a draw's span is past the largest double
+        GenParams(domain=(-1e308, 1e308)),
+        GenParams(height_range=(1e308, 1.7e308))])
     def test_non_finite_ranges(self, params):
         with pytest.raises(ValueError, match="finite"):
             random_morse_set(params)
@@ -78,7 +81,8 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb(K, -0.1, 0)
 
-    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    # from 1e308 on, the span 2 * epsilon of a draw is not finite
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 1e308])
     def test_non_finite_epsilon(self, epsilon):
         K = random_morse_set(GenParams(seed=3))
         with pytest.raises(ValueError, match="finite"):
