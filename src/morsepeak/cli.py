@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from functools import cache
@@ -227,6 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     di.set_defaults(func=cmd_distance)
 
     st = sub.add_parser("stability", help="randomized stability trials")
+    # argparse reads a token as a negative number, not an option, only if
+    # this private pattern matches it, and by default it knows no exponent
+    # or -inf; no option of this parser looks like one
+    st._negative_number_matcher = re.compile(
+        r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.I)
     st.add_argument("--trials", type=int, default=100)
     st.add_argument("--seed", type=int, default=0)
     st.add_argument("--p", type=_parse_p, nargs="+",

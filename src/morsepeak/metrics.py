@@ -25,7 +25,7 @@ The split is where the sparse solve's fixed cost (0.1-0.2 ms a call)
 stops losing to the dense one.  The sparse solvers see only canonical
 graphs (a duplicate cell gives a wrong matching or aborts the process),
 no exact 0 (it would be dropped), and a graph one column wider than tall
-(see ``_graph``); ``scipy.sparse.csgraph`` is imported only when used.
+(see ``_graph``).  scipy is imported only when a solve needs it.
 
 No n×m cost block is built for it.  A kept edge has
 ``|x_i - x_j| <= c <= 2^(1/p) max(s_i, s_j) <= 2 max(s_i, s_j)`` on
@@ -47,8 +47,6 @@ from itertools import repeat, zip_longest
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_array
 
 from .core import MorseSet, require_valid
 from .pairing import PDSet, PTSet, RPTSet
@@ -121,6 +119,7 @@ def solve_assignment(cost, objective: str = "sum") -> MatchResult:
         raise ValueError("cost entries must be nonnegative or +inf")
 
     if objective == "sum":
+        from scipy.optimize import linear_sum_assignment
         try:
             rows, cols = linear_sum_assignment(M)
         except ValueError as exc:
@@ -158,6 +157,7 @@ def _threshold_search(level, values: np.ndarray, within):
 
 def _matching_within(M: np.ndarray, threshold: float):
     """Columns of a perfect matching using only entries <= threshold, or None."""
+    from scipy.optimize import linear_sum_assignment
     over = M > threshold
     rows, cols = linear_sum_assignment(over)
     return None if over[rows, cols].any() else cols
@@ -325,7 +325,7 @@ def _dense(N: int, cells: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return raw.reshape(N, N)
 
 
-def _graph(N: int, cells: np.ndarray, data: np.ndarray) -> csr_array:
+def _graph(N: int, cells: np.ndarray, data: np.ndarray):
     """The CSR array with ``data`` at the flat ``cells`` of an N×N matrix,
     which ascend, so it is canonical: sorted, each cell once (given a
     duplicate cell, scipy 1.17's sum solver was seen to return a wrong
@@ -334,6 +334,7 @@ def _graph(N: int, cells: np.ndarray, data: np.ndarray) -> csr_array:
     augmenting row reduction, which never returned on some instances with
     0-cost copy edges (a 13-row one from 1-8-peak sets); on a wider graph it
     runs only its shortest augmenting paths, and every row still matches."""
+    from scipy.sparse import csr_array
     rows, cols = np.divmod(cells, N)
     return csr_array((data, cols, rows.searchsorted(np.arange(N + 1))),
                      shape=(N, N + 1))

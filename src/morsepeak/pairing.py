@@ -266,8 +266,11 @@ def _by_persistence(rows: np.ndarray, pers: np.ndarray) -> np.ndarray:
 
 
 def _by_birth(rows: np.ndarray) -> np.ndarray:
-    """(birth, death) rows by descending birth, then descending death."""
-    return rows[np.lexsort((-rows[:, 1], -rows[:, 0]))]
+    """(birth, death) rows by descending birth, then descending death, then
+    0.0 before -0.0, birth first, so the order is independent of the input's."""
+    signs = np.signbit(rows)
+    return rows[np.lexsort((signs[:, 1], signs[:, 0],
+                            -rows[:, 1], -rows[:, 0]))]
 
 
 def _peaks(ms: MorseSet, clip: bool = False) -> tuple[np.ndarray, ...]:

@@ -444,12 +444,12 @@ class TestStability:
         assert err == (f"morsepeak: MORSEPEAK_THREADS={threads!r} "
                        "is not a whole number\n")
 
-    # from 1e308 on, 2 * epsilon or a half of the height range is past the
-    # largest double
+    # from 1e308 on, 2 * epsilon, a half of the height range or the span of
+    # a domain around 0 is past the largest double
     @pytest.mark.parametrize("flag", [
         ["--epsilon", "nan"], ["--epsilon", "inf"], ["--domain", "0", "inf"],
         ["--heights", "0", "inf"], ["--epsilon", "1e308"],
-        ["--heights", "1e308", "1.7e308"]])
+        ["--heights", "1e308", "1.7e308"], ["--domain", "-1e308", "1e308"]])
     def test_non_finite_parameter_exit_2(self, capsys, tmp_path, flag):
         report = tmp_path / "report.json"
         code, out, err = run(capsys, "stability", "--trials", "2",
@@ -457,6 +457,25 @@ class TestStability:
         assert (code, out) == (2, "") and not report.exists()
         assert err.startswith("morsepeak: ") and "finite" in err
         assert err.count("\n") == 1
+        assert {"--epsilon": "epsilon", "--domain": "domain",
+                "--heights": "height_range"}[flag[0]] in err
+
+    def test_exponent_form_negative_numbers(self, capsys, tmp_path):
+        # argparse alone reads -1e3 as an option
+        reports = [tmp_path / "exp.json", tmp_path / "int.json"]
+        for heights, report in zip(("-1e3", "-1000"), reports):
+            code, _, _ = run(capsys, "stability", "--trials", "3",
+                             "--transform", "pt", "--heights", heights, "5",
+                             "-o", str(report))
+            assert code == 0
+        assert reports[0].read_text() == reports[1].read_text()
+
+    def test_one_exponent_form_value_of_two_exit_2(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "stability", "--trials", "2",
+                             "--heights", "-1e3", "-o", str(report))
+        assert (code, out) == (2, "") and not report.exists()
+        assert "argument --heights: expected 2 arguments" in err
 
     def test_nan_p_exit_2(self, capsys, tmp_path):
         # even with no trial to run

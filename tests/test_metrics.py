@@ -99,6 +99,24 @@ class TestMorseDistance:
                 via = morse_distance(K, L, p) + morse_distance(L, M, p)
                 assert dKM <= via + 1e-9
 
+    # the rank matching pads each kind with the origin, and padding more
+    # origins adds only zero costs, so any triple composes, whatever its
+    # cardinalities
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+           st.integers(0, 2**32 - 1))
+    def test_metric_axioms(self, k, l, m):
+        K, L = (random_morse_set(GenParams(peak_count_range=(1, 8), seed=s))
+                for s in (k, l))
+        sets = (K, L, perturb(K, 1.0, m))
+        for p in (1, 2, 1000, INF):
+            d = {}
+            for a, b in itertools.product(range(3), repeat=2):
+                d[a, b] = morse_distance(sets[a], sets[b], p)
+            for a, b in itertools.product(range(3), repeat=2):
+                assert d[a, a] == 0.0 and d[a, b] == d[b, a]
+            for a, b, c in itertools.permutations(range(3)):
+                assert d[a, c] <= (d[a, b] + d[b, c]) * (1 + 1e-9)
+
     def test_definiteness(self):
         for seed in range(30):
             K = random_morse_set(GenParams(seed=seed))
@@ -770,14 +788,36 @@ class TestSparseSolve:
                     assert wasserstein(A, A, p, DIAGONAL) == 0.0
         assert caught == []
 
-    def test_import_leaves_sparse_graphs_unloaded(self):
+    # the import, extract and every transform need numpy only; the first
+    # solve loads scipy, and its value is pinned bit for bit
+    SCIPY_ON_FIRST_SOLVE = """
+import sys
+scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import morsepeak
+from morsepeak import cli
+assert not scipy(), scipy()[:3]
+csv, out = sys.argv[1:]
+for argv in (["extract", csv],
+             ["transform", "--kind", "pt", "--svg", out + ".svg", csv],
+             ["transform", "--kind", "rpt", "--format", "csv", csv],
+             ["transform", "--kind", "pd", csv]):
+    assert cli.main(argv + ["-o", out]) == 0
+    assert not scipy(), (argv, scipy()[:3])
+K = morsepeak.random_morse_set(morsepeak.GenParams(seed=0))
+A, B = (morsepeak.persistence_transformation(S)
+        for S in (K, morsepeak.perturb(K, 0.1, 1)))
+print(morsepeak.wasserstein(A, B).hex(), "scipy.optimize" in sys.modules)
+"""
+
+    def test_import_leaves_sparse_graphs_unloaded(self, tmp_path):
         package_root = str(Path(morsepeak.__file__).resolve().parent.parent)
+        golden = Path(__file__).parent / "golden" / "two_segments.csv"
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, morsepeak; "
-             "print('scipy.sparse.csgraph' in sys.modules)"],
+            [sys.executable, "-c", self.SCIPY_ON_FIRST_SOLVE, str(golden),
+             str(tmp_path / "out")],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": package_root})
-        assert proc.stdout == "False\n", proc.stderr
+        assert proc.stdout == "0x1.050b4190cb566p-4 True\n", proc.stderr
 
 
 class TestTriangleInequality:

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from morsepeak import (GenParams, MorseSet, PDPoint, PDSet, PTFeature, PTSet,
-                       RPTFeature, RPTSet, denoise, extract_critical_points,
-                       pair, pair_recursive, persistence_transformation,
-                       random_morse_set, reduced_persistence_transformation,
+                       RPTFeature, RPTSet, SampledSeries, denoise,
+                       extract_critical_points, pair, pair_recursive,
+                       persistence_transformation, random_morse_set,
+                       reduced_persistence_transformation,
                        to_persistence_diagram)
 from morsepeak import join_pd, join_pt, join_rpt
+from morsepeak.cli import _dump_rows
 from oracles import sweep_diagram, sweep_pairing
 
 INF = math.inf
@@ -250,6 +253,22 @@ class TestPointSets:
             pts[0].features + pts[1].features,
             key=lambda f: (-f.persistence, f.x)))
         assert joined.diagonal == pts[0].diagonal + pts[1].diagonal
+
+    # segments whose x ranges overlap, on heights with both signed zeros
+    @given(st.lists(st.tuples(
+        st.integers(0, 3),
+        st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0]), min_size=2,
+                 max_size=7).filter(lambda ys: min(ys) < max(ys))),
+        min_size=2, max_size=4))
+    def test_pd_of_joined_pt_is_join_of_pds(self, segments):
+        sets = extract_critical_points(SampledSeries.multi(
+            [[(float(x0 + i), y) for i, y in enumerate(ys)]
+             for x0, ys in segments]))
+        pts = [persistence_transformation(s) for s in sets]
+        joined = join_pd(to_persistence_diagram(pt) for pt in pts)
+        via_pt = to_persistence_diagram(join_pt(pts))
+        assert _dump_rows(via_pt._json_arrays()) == \
+            _dump_rows(joined._json_arrays())
 
     def test_json_nulls_in_value_columns_only(self):
         pt = PTSet((PTFeature(INF, 1, -INF), PTFeature(2, INF, 1)),
