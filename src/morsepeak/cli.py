@@ -60,7 +60,8 @@ def _json_shape(name: str):
     """JSON input of the wrong shape is an input error naming the input."""
     try:
         yield
-    except (TypeError, IndexError, OverflowError) as exc:
+    except (TypeError, IndexError, OverflowError, KeyError,
+            ValueError) as exc:
         source = "stdin" if name == "-" else name
         raise ValueError(f"{source}: JSON of the wrong shape ({exc})") from None
 
@@ -148,9 +149,10 @@ def _to_csv(result) -> str:
 
 
 def _load_transform(text: str, kind: str, name: str):
+    data = json.loads(text)  # a syntax error keeps json's own message
     cls = {"pt": PTSet, "rpt": RPTSet, "pd": PDSet}[kind]
     with _json_shape(name):
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(data)
 
 
 def cmd_distance(args) -> int:

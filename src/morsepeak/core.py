@@ -268,6 +268,9 @@ def validate(ms: MorseSet) -> ValidationReport:
                     "Ordered", (pt()[a[j]], pt()[b[j]]),
                     "maxima not strictly descending" if desc
                     else "minima not strictly ascending"))
+        for i in flagged(np.isnan(ys)):  # NaN has no place in the order
+            out.append(Violation("Ordered", (pt()[i],),
+                                 f"value NaN at x={xs[i]}"))
 
     left = np.arange(xs.size - 1)
     same = is_max[:-1] == is_max[1:]

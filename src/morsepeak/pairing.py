@@ -82,21 +82,15 @@ def _elder_deaths(ms: MorseSet) -> np.ndarray:
     return death
 
 
-def _deaths(ms: MorseSet) -> np.ndarray:
-    """Index of each point's death minimum in x order; -1 for minima and for
-    the essential peak.  Computed once per set, read-only."""
-    require_valid(ms)
-    return ms.memo("deaths", _elder_deaths)
-
-
 def pair(ms: MorseSet) -> Pairing:
     """Elder-rule pairing via a union-find sweep over the critical sequence.
 
     Points are activated from the top down; every interior minimum merges the
     components of its two neighboring maxima and kills the younger of the two
-    representative peaks.
+    representative peaks.  The set keeps the sweep's result; it runs once.
     """
-    return Pairing(ms, _deaths(ms))
+    require_valid(ms)
+    return Pairing(ms, ms.memo("deaths", _elder_deaths))
 
 
 def pair_recursive(ms: MorseSet) -> Pairing:
@@ -278,7 +272,7 @@ def _peaks(ms: MorseSet, clip: bool = False) -> tuple[np.ndarray, ...]:
     The essential peak dies at -inf, or at the global minimum if ``clip``.
     ValueError if a peak with a finite death (the clipped essential one
     too) has a persistence that is not finite, as on a span > max double."""
-    d = _deaths(ms)[ms.is_max]
+    d = pair(ms).death[ms.is_max]
     essential = ms.ys.min() if clip else -math.inf
     rows = np.array((ms.xs[ms.is_max], ms.ys[ms.is_max],
                      np.where(d < 0, essential, ms.ys[d]))).T

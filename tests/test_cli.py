@@ -143,6 +143,34 @@ class TestTransform:
         code, _, err = run(capsys, "transform", str(bad), "--kind", "pt")
         assert code == 3 and "invalid Morse set" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["distance", "{a}", "{b}", "--kind", "morse"],
+        ["transform", "{a}", "--kind", "pd"],
+        ["transform", "{a}", "--kind", "rpt"]])
+    def test_nan_value_exit_3(self, capsys, tmp_path, argv):
+        # a one-point set has no neighbour to compare its NaN with
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path, y in ((a, math.nan), (b, 5)):
+            path.write_text(json.dumps(
+                {"maxima": [[0, y]], "minima": [], "domain": [0, 0]}))
+        code, out, err = run(capsys, *(arg.format(a=a, b=b) for arg in argv))
+        assert (code, out) == (3, "")
+        assert err == ("morsepeak: invalid Morse set: Ordered: "
+                       "value NaN at x=0.0\n")
+
+    def test_pt_csv(self, capsys):
+        code, out, err = run(capsys, "transform",
+                             str(GOLDEN / "two_segments.csv"), "--kind", "pt",
+                             "--format", "csv")
+        doc = json.loads((GOLDEN / "pt.json").read_text())
+        # a null in the PT features is a death at -inf
+        rows = [[-math.inf if c is None else c for c in f]
+                for f in doc["features"]]
+        rows += [[x, y, y] for x, y in doc["diagonal"]]
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["x,birth,death"] + [
+            ",".join("%.12g" % c for c in row) for row in rows]
+
     def test_svg_deterministic(self, capsys, e1_csv, tmp_path):
         svgs = []
         for name in ("a.svg", "b.svg"):
@@ -219,6 +247,17 @@ class TestJSONShape:
         (["transform", "--kind", "pt"],
          {"maxima": [[1, 10**400]], "minima": [[0, 0], [2, 0]],
           "domain": [0, 2]}),
+        # a PT document where a Morse set is expected: no key "maxima"
+        (["transform", "--kind", "pt"], {"features": [[1, 2, 0]],
+                                         "diagonal": []}),
+        # a row of three numbers, and a row holding a string
+        (["transform", "--kind", "pt"],
+         {"maxima": [[1, 2, 3]], "minima": [], "domain": [0, 2]}),
+        (["transform", "--kind", "pt"],
+         {"maxima": [[1, "a"]], "minima": [], "domain": [0, 2]}),
+        # a Morse set where a PT is expected: no key "features"
+        (["distance", "--kind", "pt"],
+         {"maxima": [[1, 2]], "minima": [[0, 0], [2, 0]], "domain": [0, 2]}),
     ])
     def test_exit_2(self, capsys, tmp_path, argv, doc):
         path = tmp_path / "shape.json"
@@ -335,6 +374,13 @@ class TestDistance:
         code, out, err = run(capsys, "distance", str(fa), str(fb),
                              "--kind", "morse", "--p", "1000")
         assert code == 0 and err == "" and float(out) == 5.0
+
+    def test_morse_two_segments_exit_2(self, capsys, e1_csv):
+        code, out, err = run(capsys, "distance",
+                             str(GOLDEN / "two_segments.csv"), e1_csv)
+        assert (code, out) == (2, "")
+        assert err == ("morsepeak: morse distance expects single-segment "
+                       "inputs\n")
 
     def test_kind_mismatch_exit_4(self, capsys, e1_csv, tmp_path):
         pt, rpt = tmp_path / "pt.json", tmp_path / "rpt.json"

@@ -76,6 +76,14 @@ class TestExtraction:
         with pytest.raises(ValueError, match=f"sample {index} is not finite"):
             extract_critical_points(samples)
 
+    @pytest.mark.parametrize("segment, message", [
+        ([], "segment has no samples"),
+        ([(5, 2)], "segment needs at least two samples")])
+    def test_short_segment_rejected(self, segment, message):
+        series = SampledSeries.multi([[(0, 0), (1, 1)], segment])
+        with pytest.raises(EmptyInputError, match=f"^{message}$"):
+            extract_critical_points(series)
+
     def test_multi_segment(self):
         series = SampledSeries.multi([[(0, 0), (1, 1)], [(5, 2), (6, 0)]])
         sets = extract_critical_points(series)
@@ -186,6 +194,17 @@ class TestValidation:
              "consecutive max points at x=3.0, 5.0"),
             ("CriticalBoundary", [], "no critical point at x=6.0"),
             ("Balance", [], "|3 - 1| > 1")]
+
+    @pytest.mark.parametrize("maxima, minima, domain, i", [
+        ([(0, math.nan)], [], (0, 0), 0),
+        ([(1, 3)], [(0, 0), (2, math.nan)], (0, 2), 2)])
+    def test_nan_value(self, maxima, minima, domain, i):
+        # NaN has no place in the value order, on a set of any size
+        ms = MorseSet.build(maxima, minima, domain)
+        nan = [v for v in validate(ms).violations
+               if v.detail.startswith("value NaN")]
+        assert [(v.condition, v.points, v.detail) for v in nan] == [
+            ("Ordered", (ms.points_by_x()[i],), f"value NaN at x={float(i)}")]
 
     def test_min_above_adjacent_max(self):
         broken = MorseSet.build([(1, 2), (3, 6)], [(0, 0), (2, 4), (4, 0)], (0, 4))

@@ -277,6 +277,10 @@ class TestAssignment:
         assert solve_assignment(M).cost == 10.0
         assert solve_assignment(M, objective="bottleneck").cost == 6.0
 
+    def test_unknown_objective(self):
+        with pytest.raises(ValueError, match="unknown objective 'median'"):
+            solve_assignment([[1.0, 2.0], [2.0, 1.0]], objective="median")
+
     def test_infinite_entries_forbidden(self):
         M = [[INF, 1.0], [2.0, INF]]
         assert solve_assignment(M).cost == 3.0

@@ -10,7 +10,7 @@ from morsepeak import (GenParams, MorseSet, PDPoint, PDSet, PTFeature, PTSet,
                        persistence_transformation, random_morse_set,
                        reduced_persistence_transformation,
                        to_persistence_diagram)
-from morsepeak import join_pd, join_pt, join_rpt
+from morsepeak import join_pd, join_pt, join_rpt, pairing
 from morsepeak.cli import _dump_rows
 from oracles import sweep_diagram, sweep_pairing
 
@@ -149,6 +149,22 @@ class TestTransforms:
         ptf, ptg = map(persistence_transformation, mirrored_pair)
         assert to_persistence_diagram(ptf) == to_persistence_diagram(ptg)
         assert ptf.features != ptg.features
+
+    def test_pairing_comes_from_pair(self, monkeypatch):
+        # each transform call looks its pairing up through pair, and the
+        # elder rule runs once for the set
+        looked_up, swept = [], []
+        real_pair, real_deaths = pairing.pair, pairing._elder_deaths
+        monkeypatch.setattr(pairing, "pair",
+                            lambda ms: looked_up.append(ms) or real_pair(ms))
+        monkeypatch.setattr(pairing, "_elder_deaths",
+                            lambda ms: swept.append(ms) or real_deaths(ms))
+        ms = random_morse_set(GenParams(peak_count_range=(3, 6), seed=6))
+        pt = persistence_transformation(ms)
+        reduced_persistence_transformation(ms)
+        reduced_persistence_transformation(ms, clip_essential=True)
+        to_persistence_diagram(pt)
+        assert [id(m) for m in looked_up] == [id(ms)] * 3 and swept == [ms]
 
     def test_count_conservation(self):
         for seed in range(50):

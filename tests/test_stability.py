@@ -88,6 +88,15 @@ class TestPerturb:
         with pytest.raises(ValueError, match="finite"):
             perturb_with_info(K, epsilon, 0)
 
+    def test_no_halving_keeps_the_structure(self):
+        # two adjacent maxima: no perturbation that keeps the x order
+        # passes validation, so K comes back unmoved with shrink 0
+        K = MorseSet.build([(1, 5), (2, 4)], [(0, 0), (3, 0)], (0, 3))
+        assert validate(K).conditions() == {"Alternation"}
+        for seed in range(5):
+            L, info = perturb_with_info(K, 0.1, seed)
+            assert L is K and info.shrink == 0.0
+
     def test_bounds_morse_distance_when_ranks_survive(self):
         # all critical values are separated by more than 2*epsilon, so the
         # rank matching pairs each point with its own perturbation and the
@@ -138,6 +147,21 @@ class TestCheckStability:
             check_stability(e1, e1, p)
         with pytest.raises(ValueError, match="p must be >= 1"):
             run_trials(GenParams(seed=1), trials=2, ps=(1.0, p))
+
+
+    @pytest.mark.parametrize("p, lhs, ratio", [
+        (1.0, INF, 1.0), (2.0, INF, 1.0), (INF, 1.5e308, 0.0)])
+    @pytest.mark.parametrize("slack", [PAD_ORIGIN, DIAGONAL])
+    def test_infinite_rhs(self, p, lhs, ratio, slack):
+        # values near the largest doubles: every rank cost of the maxima
+        # overflows, so the right-hand side is infinite at each p and the
+        # bound holds; the RPT distance overflows only in its p-sum
+        K = MorseSet.build([(1, 1.7e308), (3, 1.6e308), (5, 1.6e308)],
+                           [(x, 0) for x in (0, 2, 4, 6)], (0, 6))
+        L = MorseSet.build([(x, -1e308) for x in (1, 3, 5)],
+                           [(x, -1.1e308) for x in (0, 2, 4, 6)], (0, 6))
+        r = check_stability(K, L, p, "rpt", slack)
+        assert (r.lhs, r.rhs, r.ratio, r.holds) == (lhs, INF, ratio, True)
 
 
 class TestRunTrials:
