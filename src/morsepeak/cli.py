@@ -1,6 +1,7 @@
 """Command-line front end: morsepeak extract|transform|distance|stability.
 
-Exit codes: 2 parse/input error, 3 invalid Morse set, 4 kind mismatch.
+Exit codes: 2 parse/input error (a transform document of another kind than
+--kind is one), 3 invalid Morse set, 1 from stability when a gated trial fails.
 Extended reals are printed as "inf"/"-inf"; structured JSON uses null.
 """
 from __future__ import annotations
@@ -20,8 +21,7 @@ import numpy as np
 from . import plots
 from .core import (InvalidMorseSetError, MorseSet, extract_critical_points,
                    read_csv_series)
-from .metrics import (DIAGONAL, PAD_ORIGIN, KindMismatchError, morse_distance,
-                      wasserstein)
+from .metrics import DIAGONAL, PAD_ORIGIN, morse_distance, wasserstein
 from .pairing import (PDSet, PTSet, RPTSet, check_tau, denoise, join_pt,
                       join_rpt, persistence_transformation,
                       reduced_persistence_transformation,
@@ -30,7 +30,6 @@ from .stability import GenParams, reports_to_json, run_trials
 
 EXIT_PARSE = 2
 EXIT_INVALID = 3
-EXIT_KIND = 4
 
 
 def _read_input(path: str) -> str:
@@ -264,10 +263,7 @@ def main(argv=None) -> int:
     except InvalidMorseSetError as exc:
         print(f"morsepeak: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except KindMismatchError as exc:
-        print(f"morsepeak: {exc}", file=sys.stderr)
-        return EXIT_KIND
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:  # nested JSON too
         print(f"morsepeak: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

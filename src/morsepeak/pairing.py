@@ -43,8 +43,9 @@ class Pairing(_Frozen):
     peak, as a read-only int array; ``entries`` are built on first use."""
 
     def __init__(self, ms: MorseSet, death):
-        death = np.array(death, dtype=int).reshape(-1)
-        death.flags.writeable = False
+        if death is not ms._memo.get("deaths"):  # the set's own is frozen
+            death = np.array(death, dtype=int).reshape(-1)
+            death.flags.writeable = False
         self.__dict__.update(ms=ms, death=death)
 
     def _values(self) -> tuple:

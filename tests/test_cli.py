@@ -143,6 +143,15 @@ class TestTransform:
         code, _, err = run(capsys, "transform", str(bad), "--kind", "pt")
         assert code == 3 and "invalid Morse set" in err
 
+    def test_empty_morse_json_exit_3(self, capsys, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(
+            {"maxima": [], "minima": [], "domain": [0, 1]}))
+        code, out, err = run(capsys, "transform", str(empty), "--kind", "pt")
+        assert (code, out) == (3, "")
+        assert err == ("morsepeak: invalid Morse set: CriticalBoundary: "
+                       "empty set\n")
+
     @pytest.mark.parametrize("argv", [
         ["distance", "{a}", "{b}", "--kind", "morse"],
         ["transform", "{a}", "--kind", "pd"],
@@ -268,6 +277,22 @@ class TestJSONShape:
         assert (code, out) == (2, "")
         assert err.startswith(f"morsepeak: {path}: JSON of the wrong shape")
 
+    @pytest.mark.parametrize("argv, prefix", [
+        (["transform", "{f}", "--kind", "pt", "-o", "{out}"], ""),
+        (["distance", "{f}", "{f}"], ""),
+        (["distance", "{f}", "{f}", "--kind", "rpt"], '{"features": '),
+    ])
+    def test_nested_too_deep_exit_2(self, capsys, tmp_path, argv, prefix):
+        # json's decoder recurses once per level, so this input exceeds the
+        # interpreter's recursion limit while it is read
+        path, out = tmp_path / "deep.json", tmp_path / "out.json"
+        path.write_text(prefix + "[" * 100_000)
+        code, stdout, err = run(capsys, *(a.format(f=path, out=out)
+                                          for a in argv))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("morsepeak: maximum recursion depth exceeded")
+        assert err.count("\n") == 1 and not out.exists()
+
 
 def masked_rows(width: int):
     """Masked float arrays of ``width`` columns, or 1-D if it is 0."""
@@ -382,23 +407,24 @@ class TestDistance:
         assert err == ("morsepeak: morse distance expects single-segment "
                        "inputs\n")
 
-    def test_kind_mismatch_exit_4(self, capsys, e1_csv, tmp_path):
+    def test_document_of_another_kind_exit_2(self, capsys, e1_csv, tmp_path):
         pt, rpt = tmp_path / "pt.json", tmp_path / "rpt.json"
         run(capsys, "transform", e1_csv, "--kind", "pt", "-o", str(pt))
         run(capsys, "transform", e1_csv, "--kind", "rpt", "-o", str(rpt))
         # declared kind drives parsing, so a schema mismatch surfaces as a
         # parse error; a genuine kind mismatch needs the library API
-        code, _, _ = run(capsys, "distance", str(pt), str(rpt), "--kind", "pt")
-        assert code == 2
+        code, out, err = run(capsys, "distance", str(pt), str(rpt),
+                             "--kind", "pt")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"morsepeak: {rpt}: JSON of the wrong shape")
 
     def test_kind_mismatch_from_library(self):
         from morsepeak import (KindMismatchError, extract_critical_points,
                                persistence_transformation,
                                reduced_persistence_transformation, wasserstein)
-        from morsepeak.cli import EXIT_KIND
         (ms,) = extract_critical_points(
             [(0, 0), (1, 3), (2, 1), (3, 5), (4, 0.5), (5, 2), (6, 0)])
-        assert EXIT_KIND == 4
         with pytest.raises(KindMismatchError):
             wasserstein(persistence_transformation(ms),
                         reduced_persistence_transformation(ms))

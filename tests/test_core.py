@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from morsepeak import (ConstantSegmentError, CriticalPoint, EmptyInputError,
                        GenParams, Kind, MorseSet, NonMonotoneAbscissaError,
-                       SampledSeries, colex_lt, extract_critical_points,
-                       random_morse_set, read_csv_series, validate)
+                       SampledSeries, ValidationReport, colex_lt,
+                       extract_critical_points, random_morse_set,
+                       read_csv_series, validate)
 from oracles import quantified_alternation_ok, read_csv_reference
 
 from conftest import E1_SAMPLES
@@ -124,6 +125,9 @@ class TestValidation:
         report = validate(e1)
         assert report.ok and not report
 
+    def test_empty_report_summary(self):
+        assert ValidationReport().summary() == "ok"
+
     def test_missing_interior_minimum(self, e1):
         broken = MorseSet.build(
             e1.maxima, [m for m in e1.minima if (m.x, m.y) != (2, 1)], e1.domain)
@@ -239,6 +243,21 @@ class TestSerialization:
     def test_json_round_trip(self, e1):
         again = MorseSet.from_json(e1.to_json())
         assert again == e1
+
+    def test_repr_lists_canonical_points(self, e1):
+        # built from the points in x order; the repr lists them canonically
+        ms = MorseSet.build([(1, 3), (3, 5), (5, 2)],
+                            [(0, 0), (2, 1), (4, 0.5), (6, 0)], (0, 6))
+        assert repr(ms) == (f"MorseSet(maxima={e1.maxima!r}, "
+                            f"minima={e1.minima!r}, domain=(0.0, 6.0))")
+        assert [(p.x, p.y) for p in ms.maxima] == [(3, 5), (1, 3), (5, 2)]
+        assert [(p.x, p.y) for p in ms.minima] == [(0, 0), (6, 0), (4, 0.5),
+                                                   (2, 1)]
+
+    def test_build_empty_without_domain(self):
+        with pytest.raises(EmptyInputError,
+                           match="cannot infer a domain from an empty set"):
+            MorseSet.build([], [])
 
     def test_json_schema(self, e1):
         doc = json.loads(e1.to_json())

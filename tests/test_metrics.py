@@ -795,7 +795,7 @@ class TestSparseSolve:
     # the import, extract and every transform need numpy only; the first
     # solve loads scipy, and its value is pinned bit for bit
     SCIPY_ON_FIRST_SOLVE = """
-import sys
+import contextlib, io, sys
 scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import morsepeak
 from morsepeak import cli
@@ -807,6 +807,12 @@ for argv in (["extract", csv],
              ["transform", "--kind", "pd", csv]):
     assert cli.main(argv + ["-o", out]) == 0
     assert not scipy(), (argv, scipy()[:3])
+one = out + ".csv"  # the Morse-set distance takes one segment per input
+with open(one, "w") as f:
+    f.write("0,0\\n1,3\\n2,1\\n3,5\\n4,0\\n")
+with contextlib.redirect_stdout(io.StringIO()) as d:
+    assert cli.main(["distance", one, one, "--kind", "morse"]) == 0
+assert d.getvalue() == "0\\n" and not scipy(), ("distance", scipy()[:3])
 K = morsepeak.random_morse_set(morsepeak.GenParams(seed=0))
 A, B = (morsepeak.persistence_transformation(S)
         for S in (K, morsepeak.perturb(K, 0.1, 1)))

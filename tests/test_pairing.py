@@ -100,6 +100,19 @@ class TestPairing:
         assert [e.peak for e in pr.entries] == list(ms.maxima)
         assert repr(pr) == f"Pairing(entries={pr.entries!r})"
 
+    def test_pair_holds_the_kept_array(self, e1):
+        a, b = pair(e1), pair(e1)
+        assert np.shares_memory(a.death, b.death)
+        assert not a.death.flags.writeable
+
+    def test_given_array_is_copied(self, e1):
+        arr = np.array(pair(e1).death)
+        held = pairing.Pairing(e1, arr)
+        assert not np.shares_memory(held.death, arr)
+        assert not held.death.flags.writeable and arr.flags.writeable
+        arr[:] = 0
+        assert held == pair(e1)
+
     def test_determined_by_morse_set(self, e1):
         # resampling the same critical structure on a different grid cannot
         # change the pairing
@@ -219,6 +232,10 @@ class TestPointSets:
         pt = persistence_transformation(e1)
         return pt, reduced_persistence_transformation(e1), \
             to_persistence_diagram(pt)
+
+    def test_repr_rebuilds_the_set(self, sets):
+        for ps in sets:
+            assert eval(repr(ps), {**vars(pairing), "inf": INF}) == ps
 
     def test_built_from_rows_equals_transform(self, sets):
         pt, rpt, pd = sets

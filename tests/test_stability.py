@@ -308,6 +308,13 @@ class TestShrink:
         K = random_morse_set(GenParams(seed=3))
         return K, perturb(K, 0.1, 4)
 
+    def test_drop_peak_out_of_range_or_at_boundary(self):
+        # both peaks sit at an end of the domain
+        ms = MorseSet.build([(0, 5), (2, 3)], [(1, 0)])
+        assert validate(ms).ok
+        for i in (-1, 0, 1, 2):
+            assert stability._drop_peak(ms, i) is None
+
     def test_unexpected_error_raises(self, monkeypatch):
         # a fault in the program is not read as "no violation"
         def broken(ms):
