@@ -12,7 +12,6 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
 
@@ -54,24 +53,28 @@ def _parse_p(token: str) -> float:
     return p
 
 
-@contextmanager
-def _json_shape(name: str):
-    """JSON input of the wrong shape is an input error naming the input."""
+def _load_json(text: str, name: str, decode):
+    """``decode`` of the JSON document ``text``.  A syntax error, too deep a
+    nesting or a document of the wrong shape is an input error naming the
+    input."""
+    source = "stdin" if name == "-" else name
     try:
-        yield
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    try:
+        return decode(data)
     except (TypeError, IndexError, OverflowError, KeyError,
             ValueError) as exc:
-        source = "stdin" if name == "-" else name
         raise ValueError(f"{source}: JSON of the wrong shape ({exc})") from None
 
 
 def _load_morse_sets(text: str, plateau_eps: float,
                      name: str) -> list[MorseSet]:
     if text.lstrip().startswith(("{", "[")):
-        data = json.loads(text)
-        with _json_shape(name):
-            return [MorseSet.from_json_dict(d)
-                    for d in ([data] if isinstance(data, dict) else data)]
+        return _load_json(text, name, lambda data: [
+            MorseSet.from_json_dict(d)
+            for d in ([data] if isinstance(data, dict) else data)])
     return extract_critical_points(read_csv_series(text), plateau_eps)
 
 
@@ -148,10 +151,8 @@ def _to_csv(result) -> str:
 
 
 def _load_transform(text: str, kind: str, name: str):
-    data = json.loads(text)  # a syntax error keeps json's own message
     cls = {"pt": PTSet, "rpt": RPTSet, "pd": PDSet}[kind]
-    with _json_shape(name):
-        return cls.from_json_dict(data)
+    return _load_json(text, name, cls.from_json_dict)
 
 
 def cmd_distance(args) -> int:
@@ -263,7 +264,7 @@ def main(argv=None) -> int:
     except InvalidMorseSetError as exc:
         print(f"morsepeak: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ValueError, OSError, RecursionError) as exc:  # nested JSON too
+    except (ValueError, OSError) as exc:
         print(f"morsepeak: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -225,10 +225,32 @@ def validate(ms: MorseSet) -> ValidationReport:
 
     Violations are data, not exceptions: the report lists every failed
     condition (Injectivity, Disjunction, Ordered, Alternation,
-    CriticalBoundary, Balance) with the offending points.  Each axiom is a
-    mask over the arrays; points are made only for flagged entries.
+    CriticalBoundary, Balance) with the offending points.  A valid set is
+    accepted by one combined check; only a set that fails it gets a mask
+    per axiom, and points are made only for flagged entries.
     :attr:`MorseSet.report` computes this once per set.
     """
+    return ValidationReport(() if _accepts(ms) else _violations(ms))
+
+
+def _accepts(ms: MorseSet) -> bool:
+    """True exactly when :func:`_violations` finds nothing: positions
+    strictly increase from one domain end to the other, no value is NaN,
+    and the kinds alternate with each minimum below its neighbouring maxima
+    (a rise into a maximum may be level, at a later position; a fall into a
+    minimum may not).  Alternation implies the balance."""
+    xs, ys, up = ms.xs, ms.ys, ms.is_max
+    if not xs.size or xs[0] != ms.domain[0] or xs[-1] != ms.domain[1]:
+        return False
+    rise = up[1:]
+    # NaN fails both comparisons, so only a lone point's value needs a test
+    return bool(ys[0] == ys[0] and (
+        (xs[:-1] < xs[1:]) & (up[:-1] != rise)
+        & np.where(rise, ys[:-1] <= ys[1:], ys[1:] < ys[:-1])).all())
+
+
+def _violations(ms: MorseSet) -> tuple[Violation, ...]:
+    """Every violated axiom of ``ms``, each with its points."""
     xs, ys, is_max = ms.xs, ms.ys, ms.is_max
     pt = ms.points_by_x  # called only when something is flagged
     out: list[Violation] = []
@@ -298,8 +320,7 @@ def validate(ms: MorseSet) -> ValidationReport:
     if abs(ms.kappa_plus - ms.kappa_minus) > 1:
         out.append(Violation("Balance", (),
                              f"|{ms.kappa_plus} - {ms.kappa_minus}| > 1"))
-
-    return ValidationReport(tuple(out))
+    return tuple(out)
 
 
 def require_valid(ms: MorseSet) -> None:

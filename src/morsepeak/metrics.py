@@ -119,20 +119,31 @@ def solve_assignment(cost, objective: str = "sum") -> MatchResult:
         raise ValueError("cost entries must be nonnegative or +inf")
 
     if objective == "sum":
-        from scipy.optimize import linear_sum_assignment
-        try:
-            rows, cols = linear_sum_assignment(M)
-        except ValueError as exc:
-            raise InfeasibleError(str(exc)) from None
+        rows, cols = _sum_solve(M)
         total = float(M[rows, cols].sum())
         return MatchResult(tuple(zip(rows.tolist(), cols.tolist())), total)
 
     if objective != "bottleneck":
         raise ValueError(f"unknown objective {objective!r}")
-
-    level = max(M.min(axis=1).max(), M.min(axis=0).max())
-    cols, level = _threshold_search(level, M, lambda t: _matching_within(M, t))
+    cols, level = _bottleneck_solve(M)
     return MatchResult(tuple(enumerate(cols.tolist())), level)
+
+
+def _sum_solve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a minimum-sum perfect matching of the square
+    matrix ``M``, whose costs are >= 0 or inf."""
+    from scipy.optimize import linear_sum_assignment
+    try:
+        return linear_sum_assignment(M)
+    except ValueError as exc:
+        raise InfeasibleError(str(exc)) from None
+
+
+def _bottleneck_solve(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """The columns and the value of a bottleneck matching of the nonempty
+    square matrix ``M``: the lower bound first, then the threshold search."""
+    level = max(M.min(axis=1).max(), M.min(axis=0).max())
+    return _threshold_search(level, M, lambda t: _matching_within(M, t))
 
 
 def _threshold_search(level, values: np.ndarray, within):
@@ -345,8 +356,10 @@ def _bottleneck(N: int, cells, vals: np.ndarray, sparse: bool) -> float:
     ``cells`` and inf elsewhere.  The sparse search takes its lower bound
     from the row and column minima of the listed values and probes a
     threshold t on the graph of the cells whose value is at most t."""
+    if not N:
+        return 0.0
     if not sparse:
-        return solve_assignment(_dense(N, cells, vals), "bottleneck").cost
+        return _bottleneck_solve(_dense(N, cells, vals))[1]
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
     rows, cols = np.divmod(cells, N)
@@ -390,9 +403,9 @@ def _matched(N: int, cells, vals: np.ndarray, p: float,
     scaled = _scaled(N, cells, vals, p, sparse)
     if not sparse:
         raw = _dense(N, cells, scaled)
-        pairs = solve_assignment(raw).pairs
+        rows, cols = _sum_solve(raw)
         raw.ravel()[cells] = vals
-        return [raw.item(ij) for ij in pairs]
+        return raw[rows, cols].tolist()
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
     # a scaled cost above N exceeds the optimum's total, which is at most

@@ -268,12 +268,20 @@ def _by_birth(rows: np.ndarray) -> np.ndarray:
                             -rows[:, 1], -rows[:, 0]))]
 
 
-def _peaks(ms: MorseSet, clip: bool = False) -> tuple[np.ndarray, ...]:
-    """A row (position, birth, death value) per peak, and its persistence.
-    The essential peak dies at -inf, or at the global minimum if ``clip``.
-    ValueError if a peak with a finite death (the clipped essential one
+def _peaks(ms: MorseSet, clip: bool = False) -> np.ndarray:
+    """A row (position, birth, death value, persistence) per peak, by
+    descending persistence, then position: a read-only table the set keeps
+    per ``clip``, so the PT and the RPT of a set share it.  The essential
+    peak dies at -inf, or at the global minimum if ``clip``.  ValueError, on
+    every call, if a peak with a finite death (the clipped essential one
     too) has a persistence that is not finite, as on a span > max double."""
-    d = pair(ms).death[ms.is_max]
+    death = pair(ms).death
+    return ms.memo("clipped peaks" if clip else "peaks",
+                   lambda ms: _peak_table(ms, death, clip))
+
+
+def _peak_table(ms: MorseSet, death: np.ndarray, clip: bool) -> np.ndarray:
+    d = death[ms.is_max]
     essential = ms.ys.min() if clip else -math.inf
     rows = np.array((ms.xs[ms.is_max], ms.ys[ms.is_max],
                      np.where(d < 0, essential, ms.ys[d]))).T
@@ -283,14 +291,15 @@ def _peaks(ms: MorseSet, clip: bool = False) -> tuple[np.ndarray, ...]:
         x, birth, death = rows[bad.argmax()].tolist()
         raise ValueError(f"the peak at x={x!r} has birth {birth!r} and death "
                          f"{death!r}, whose difference is not finite")
-    return rows, pers
+    table = _by_persistence(np.column_stack((rows, pers)), pers)
+    table.flags.writeable = False
+    return table
 
 
 def persistence_transformation(ms: MorseSet) -> PTSet:
     """Map each maximum to (position, birth, death); minima land on the
     diagonal plane.  Features are sorted by descending persistence."""
-    rows, pers = _peaks(ms)
-    return PTSet(_by_persistence(rows, pers), ms.xy(ms.min_order))
+    return PTSet(_peaks(ms)[:, :3], ms.xy(ms.min_order))
 
 
 def reduced_persistence_transformation(ms: MorseSet,
@@ -301,8 +310,7 @@ def reduced_persistence_transformation(ms: MorseSet,
     set, in which case its death is clipped to the component's global minimum
     value so the output stays finite.
     """
-    rows, pers = _peaks(ms, clip_essential)
-    return RPTSet(_by_persistence(np.array((rows[:, 0], pers)).T, pers))
+    return RPTSet(_peaks(ms, clip_essential)[:, [0, 3]])
 
 
 def to_persistence_diagram(pt: PTSet) -> PDSet:

@@ -40,9 +40,34 @@ def random_morse_set(params: GenParams) -> MorseSet:
     from the lower half of the height range and maxima from the upper half,
     which keeps the alternation strict.
     """
+    _check_params(params)
     lo_k, hi_k = params.peak_count_range
-    if not (1 <= lo_k <= hi_k):
-        raise ValueError("peak_count_range must be a nonempty range of ints >= 1")
+    a, b = params.domain
+    ylo, yhi = params.height_range
+    mid = 0.5 * (ylo + yhi)
+    rng = np.random.default_rng(params.seed)
+    k = int(rng.integers(lo_k, hi_k + 1))
+    n_interior = 2 * k - 1
+    while True:
+        xs = np.sort(rng.uniform(a, b, n_interior))
+        if (xs[:-1] < xs[1:]).all() and xs[0] > a and xs[-1] < b:
+            break
+    positions = np.concatenate(([a], xs, [b]))
+    heights = np.empty(2 * k + 1)
+    heights[0::2] = rng.uniform(ylo, mid, k + 1)
+    heights[1::2] = rng.uniform(mid, yhi, k)
+    return MorseSet(positions, heights, np.arange(2 * k + 1) % 2 == 1, (a, b))
+
+
+def _check_params(params: GenParams) -> None:
+    """ValueError unless ``random_morse_set`` can draw from ``params``."""
+    lo_k, hi_k = params.peak_count_range
+    # numpy draws the peak count as an int64
+    if not (1 <= lo_k <= hi_k < 2 ** 63):
+        raise ValueError("peak_count_range must be a nonempty range of ints "
+                         "from 1 to 2**63 - 1")
+    if not params.seed >= 0:
+        raise ValueError("seed must be a nonnegative integer")
     a, b = params.domain
     ylo, yhi = params.height_range
     mid = 0.5 * (ylo + yhi)
@@ -51,18 +76,6 @@ def random_morse_set(params: GenParams) -> MorseSet:
         raise ValueError("domain must be nondegenerate with a finite span")
     if not (ylo < yhi and np.isfinite([mid - ylo, yhi - mid]).all()):
         raise ValueError("height_range must be nondegenerate, its halves finite")
-    rng = np.random.default_rng(params.seed)
-    k = int(rng.integers(lo_k, hi_k + 1))
-    n_interior = 2 * k - 1
-    while True:
-        xs = np.sort(rng.uniform(a, b, n_interior))
-        if np.unique(xs).size == n_interior and xs[0] > a and xs[-1] < b:
-            break
-    positions = np.concatenate(([a], xs, [b]))
-    heights = np.empty(2 * k + 1)
-    heights[0::2] = rng.uniform(ylo, mid, k + 1)
-    heights[1::2] = rng.uniform(mid, yhi, k)
-    return MorseSet(positions, heights, np.arange(2 * k + 1) % 2 == 1, (a, b))
 
 
 @dataclass(frozen=True)
@@ -202,6 +215,7 @@ def run_trials(params: GenParams, trials: int, epsilon: float = 0.1,
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    _check_params(params)
     trial = partial(_trial, params, epsilon=epsilon, ps=ps,
                     transforms=transforms, slack=slack)
     workers = min(max_workers, trials, os.cpu_count() or 1)

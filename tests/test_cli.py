@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -280,18 +281,42 @@ class TestJSONShape:
     @pytest.mark.parametrize("argv, prefix", [
         (["transform", "{f}", "--kind", "pt", "-o", "{out}"], ""),
         (["distance", "{f}", "{f}"], ""),
-        (["distance", "{f}", "{f}", "--kind", "rpt"], '{"features": '),
+        (["distance", "{ok}", "{f}", "--kind", "rpt"], '{"features": '),
     ])
     def test_nested_too_deep_exit_2(self, capsys, tmp_path, argv, prefix):
         # json's decoder recurses once per level, so this input exceeds the
         # interpreter's recursion limit while it is read
         path, out = tmp_path / "deep.json", tmp_path / "out.json"
         path.write_text(prefix + "[" * 100_000)
-        code, stdout, err = run(capsys, *(a.format(f=path, out=out)
+        ok = tmp_path / "ok.json"
+        ok.write_text('{"features": [[1.0, 2.0]]}')
+        code, stdout, err = run(capsys, *(a.format(f=path, out=out, ok=ok)
                                           for a in argv))
         assert (code, stdout) == (2, "")
-        assert err.startswith("morsepeak: maximum recursion depth exceeded")
+        assert err.startswith(
+            f"morsepeak: {path}: maximum recursion depth exceeded")
         assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize("kind", ["morse", "pt"])
+    def test_syntax_error_names_its_input(self, capsys, tmp_path, kind):
+        # the second input is the bad one, so the name tells the two apart
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(
+            {"features": [[1, 2, 0]], "diagonal": []} if kind == "pt" else
+            {"maxima": [[1, 2]], "minima": [[0, 0], [2, 0]],
+             "domain": [0, 2]}))
+        bad.write_text('{"features": [[1, 2, 0] [3]]}')
+        code, out, err = run(capsys, "distance", str(good), str(bad),
+                             "--kind", kind)
+        assert (code, out) == (2, "")
+        assert err == (f"morsepeak: {bad}: Expecting ',' delimiter: "
+                       "line 1 column 25 (char 24)\n")
+
+    def test_syntax_error_on_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[1, 2"))
+        code, out, err = run(capsys, "transform", "-", "--kind", "pt")
+        assert (code, out) == (2, "")
+        assert err.startswith("morsepeak: stdin: Expecting ")
 
 
 def masked_rows(width: int):
@@ -531,6 +556,18 @@ class TestStability:
         assert err.count("\n") == 1
         assert {"--epsilon": "epsilon", "--domain": "domain",
                 "--heights": "height_range"}[flag[0]] in err
+
+    @pytest.mark.parametrize("flag, name", [
+        (["--seed", "-5"], "seed"),
+        (["--peaks", "1", "100000000000000000000"], "peak_count_range")])
+    def test_out_of_range_parameter_exit_2(self, capsys, tmp_path, flag,
+                                           name):
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "stability", "--trials", "2",
+                             "-o", str(report), *flag)
+        assert (code, out) == (2, "") and not report.exists()
+        assert err.startswith(f"morsepeak: {name} must be")
+        assert err.count("\n") == 1
 
     def test_exponent_form_negative_numbers(self, capsys, tmp_path):
         # argparse alone reads -1e3 as an option

@@ -2,8 +2,9 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from morsepeak import core
 from morsepeak import (ConstantSegmentError, CriticalPoint, EmptyInputError,
                        GenParams, Kind, MorseSet, NonMonotoneAbscissaError,
                        SampledSeries, ValidationReport, colex_lt,
@@ -237,6 +238,45 @@ class TestValidation:
             conds = validate(ms).conditions()
             assert "Alternation" not in conds and "CriticalBoundary" not in conds
             assert "Balance" not in conds
+
+
+LOW = st.sampled_from([-math.inf, -1.0, -0.0, 0.0]) | st.floats(-2, 0)
+HIGH = st.sampled_from([-0.0, 0.0, 1.0, math.inf]) | st.floats(0, 2)
+ANY = (st.sampled_from([-math.inf, -0.0, 0.0, math.inf, math.nan])
+       | st.floats(-3, 3))
+
+
+@st.composite
+def near_valid_sets(draw):
+    """Arrays of a Morse set that is often valid: ascending positions and
+    alternating kinds, minima drawn low and maxima high, with ties at
+    signed zeros and infinities, and the domain ends at the first and last
+    positions; then maybe a value, a position, a kind or the domain is
+    replaced by anything, NaN and points outside the domain included."""
+    xs = sorted(draw(st.lists(ANY.filter(lambda v: v == v), min_size=1,
+                              max_size=7, unique=True)))
+    up = [(i + draw(st.booleans())) % 2 == 1 for i in range(len(xs))]
+    up = up if draw(st.booleans()) else [not u for u in up]
+    ys = [draw(HIGH if u else LOW) for u in up]
+    domain = [xs[0], xs[-1]]
+    # a position or value may also repeat another one
+    for target, values in ((ys, ANY | st.sampled_from(ys)),
+                           (xs, ANY | st.sampled_from(xs)),
+                           (up, st.booleans()), (domain, ANY)):
+        if draw(st.integers(0, 3)) == 0:
+            target[draw(st.integers(0, len(target) - 1))] = draw(values)
+    return xs, ys, up, tuple(domain)
+
+
+@given(near_valid_sets())
+@example(([1.0], [math.nan], [True], (1.0, 1.0)))  # a lone NaN value
+@example(([0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [True, False, True], (0.0, 1.0)))
+def test_one_mask_accept_agrees_with_the_axioms(arrays):
+    # the combined check accepts a set exactly when no axiom's mask flags
+    # anything, so validate reports the same either way
+    ms = MorseSet(*arrays)
+    assert core._accepts(ms) == (not core._violations(ms))
+    assert validate(ms).ok == core._accepts(ms)
 
 
 class TestSerialization:

@@ -658,20 +658,18 @@ class TestPrunedMatching:
             for p in (1, 2, INF):
                 assert wasserstein(A, B, p, DIAGONAL) == \
                     pytest.approx(dense_wasserstein(A, B, p), rel=1e-9)
+        # PT W2 is solved as dense matrices of fewer cells than a quarter
+        # of the unpruned bordered matrix's
         cells = []
-
-        def spy(cost, objective="sum"):
-            cells.append(np.asarray(cost).size)
-            return solve_assignment(cost, objective)
-
-        monkeypatch.setattr(metrics, "solve_assignment", spy)
+        dense, graph = metrics._dense, metrics._graph
+        monkeypatch.setattr(metrics, "_dense", lambda N, c, vals: (
+            cells.append(N * N), dense(N, c, vals))[1])
         wasserstein(pa, pb, 2, DIAGONAL)
         n = len(pa.features) + len(pb.features)
         assert cells and sum(cells) < n * n / 4
         # on either path: the cells of each dense matrix and the edges of
         # each sparse graph solved, for every kind, RPT on the sparse path
         solved = []
-        dense, graph = metrics._dense, metrics._graph
         monkeypatch.setattr(metrics, "_dense", lambda N, cells, vals: (
             solved.append(N * N), dense(N, cells, vals))[1])
         monkeypatch.setattr(metrics, "_graph", lambda N, cells, data: (

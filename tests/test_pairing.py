@@ -179,6 +179,32 @@ class TestTransforms:
         to_persistence_diagram(pt)
         assert [id(m) for m in looked_up] == [id(ms)] * 3 and swept == [ms]
 
+    def test_peak_table_built_once_per_clip(self, monkeypatch):
+        # the PT and the RPT of a set share its peak table; the clipped
+        # RPT has its own
+        built = []
+        real = pairing._peak_table
+        monkeypatch.setattr(pairing, "_peak_table", lambda ms, death, clip: (
+            built.append(clip), real(ms, death, clip))[1])
+        ms = random_morse_set(GenParams(peak_count_range=(3, 6), seed=6))
+        pt = persistence_transformation(ms)
+        rpt = reduced_persistence_transformation(ms)
+        assert built == [False]
+        assert persistence_transformation(ms) == pt
+        assert reduced_persistence_transformation(ms) == rpt
+        reduced_persistence_transformation(ms, clip_essential=True)
+        reduced_persistence_transformation(ms, clip_essential=True)
+        assert built == [False, True]
+        assert not pairing._peaks(ms).flags.writeable
+
+    def test_overflowing_persistence_raises_on_every_call(self):
+        ms = MorseSet([0, 1, 2, 3, 4], [-1.7e308, 1.7e308, -1.7e308, 1.6e308,
+                                        -1.7e308], [0, 1, 0, 1, 0], (0, 4))
+        for make in (persistence_transformation,
+                     reduced_persistence_transformation) * 2:
+            with pytest.raises(ValueError, match="difference is not finite"):
+                make(ms)
+
     def test_count_conservation(self):
         for seed in range(50):
             ms = random_morse_set(GenParams(peak_count_range=(1, 12), seed=seed))

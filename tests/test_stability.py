@@ -53,6 +53,18 @@ class TestGenerator:
         with pytest.raises(ValueError, match="finite"):
             random_morse_set(params)
 
+    @pytest.mark.parametrize("params, name", [
+        (GenParams(seed=-5), "seed"),
+        # numpy draws the peak count as an int64
+        (GenParams(peak_count_range=(1, 10**20)), "peak_count_range"),
+        (GenParams(peak_count_range=(1, 2**63)), "peak_count_range")])
+    def test_out_of_range_params_named(self, params, name):
+        # run_trials checks them even with no trial to run
+        for call in (lambda: random_morse_set(params),
+                     lambda: run_trials(params, 0)):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                call()
+
 
 class TestPerturb:
     def test_within_budget_and_valid(self):
