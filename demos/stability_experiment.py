@@ -2,9 +2,11 @@
 
 Perturbs random Morse sets within a sup-norm budget and compares the
 Wasserstein distance between the transforms (lhs) against the Morse-set
-distance between the inputs (rhs).  The full transform satisfies
-lhs <= rhs; the reduced transform needs an extra factor 2^(1-1/p), which
-this script measures empirically.
+distance between the inputs (rhs).  The full transform's bound is
+lhs <= rhs, and the reduced transform's lhs <= 2^(1-1/p) rhs; this script
+counts the trials over each.  Neither bound holds on every input: a
+perturbation that reorders near-tied peaks changes the elder pairing and
+can break both (see the README's note on criterion 3).
 
 Run:  python3 demos/stability_experiment.py
 """
@@ -30,8 +32,8 @@ def main():
             print(f"{transform:>9} {label:>4} {len(bad):>6}/{len(rows)} "
                   f"{worst:>11.3f} {bound:>10.3f}")
 
-    print("\nthe pt rows never violate; the rpt worst ratios approach the "
-          "2^(1-1/p) factor but never exceed it")
+    print("\nin these trials the pt rows never violate; the rpt worst ratios "
+          "approach the 2^(1-1/p) factor but never exceed it")
 
 
 if __name__ == "__main__":

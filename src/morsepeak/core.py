@@ -261,38 +261,35 @@ def _violations(ms: MorseSet) -> tuple[Violation, ...]:
     def flagged(mask):
         return np.flatnonzero(mask).tolist()
 
-    # With strictly increasing positions and no NaN value, no position
-    # repeats and both canonical orders are strict: the first three hold.
-    if not (xs[1:] > xs[:-1]).all() or np.isnan(ys).any():
-        for name, o in (("maxima", ms.max_order), ("minima", ms.min_order)):
-            # each position is reported with its first occurrence
-            _, first, inv = np.unique(xs[o], return_index=True,
-                                      return_inverse=True, equal_nan=False)
-            for j in flagged(first[inv] != np.arange(o.size)):
-                p = pt()[o[j]]
-                out.append(Violation(
-                    "Injectivity", (pt()[o[first[inv[j]]]], p),
-                    f"duplicate position {p.x} among {name}"))
-
-        peaks, o = np.flatnonzero(is_max), ms.min_order
-        for i in o[np.isin(xs[o], xs[peaks])].tolist():
-            # the last maximum at this position in canonical order
-            k = peaks[np.searchsorted(xs[peaks], xs[i], side="right") - 1]
-            p = pt()[i]
+    for name, o in (("maxima", ms.max_order), ("minima", ms.min_order)):
+        # each position is reported with its first occurrence
+        _, first, inv = np.unique(xs[o], return_index=True,
+                                  return_inverse=True, equal_nan=False)
+        for j in flagged(first[inv] != np.arange(o.size)):
+            p = pt()[o[j]]
             out.append(Violation(
-                "Disjunction", (pt()[k], p),
-                f"position {p.x} is both a maximum and a minimum"))
+                "Injectivity", (pt()[o[first[inv[j]]]], p),
+                f"duplicate position {p.x} among {name}"))
 
-        for o, desc in ((ms.max_order, True), (ms.min_order, False)):
-            a, b = o[:-1], o[1:]
-            for j in flagged(~(lt(b, a) if desc else lt(a, b))):
-                out.append(Violation(
-                    "Ordered", (pt()[a[j]], pt()[b[j]]),
-                    "maxima not strictly descending" if desc
-                    else "minima not strictly ascending"))
-        for i in flagged(np.isnan(ys)):  # NaN has no place in the order
-            out.append(Violation("Ordered", (pt()[i],),
-                                 f"value NaN at x={xs[i]}"))
+    peaks, o = np.flatnonzero(is_max), ms.min_order
+    for i in o[np.isin(xs[o], xs[peaks])].tolist():
+        # the last maximum at this position in canonical order
+        k = peaks[np.searchsorted(xs[peaks], xs[i], side="right") - 1]
+        p = pt()[i]
+        out.append(Violation(
+            "Disjunction", (pt()[k], p),
+            f"position {p.x} is both a maximum and a minimum"))
+
+    for o, desc in ((ms.max_order, True), (ms.min_order, False)):
+        a, b = o[:-1], o[1:]
+        for j in flagged(~(lt(b, a) if desc else lt(a, b))):
+            out.append(Violation(
+                "Ordered", (pt()[a[j]], pt()[b[j]]),
+                "maxima not strictly descending" if desc
+                else "minima not strictly ascending"))
+    for i in flagged(np.isnan(ys)):  # NaN has no place in the order
+        out.append(Violation("Ordered", (pt()[i],),
+                             f"value NaN at x={xs[i]}"))
 
     left = np.arange(xs.size - 1)
     same = is_max[:-1] == is_max[1:]

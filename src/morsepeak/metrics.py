@@ -15,17 +15,19 @@ outright.  The answer equals the full bordered matrix's.
 Each pruned instance is one edge list: the finite cells of its N×N
 bordered matrix (kept edges, each point to its own copy, the copy-to-copy
 transposes of kept edges), each once and ascending.  Below
-``_SPARSE_ROWS`` rows it is scattered into the dense matrix for
-:func:`solve_assignment`; from there on it is solved as a sparse graph, so
-nothing of size N² is built: ``min_weight_full_bipartite_matching`` for
-finite p, and at p = inf the same lower-bound-first threshold search with
-``maximum_bipartite_matching`` as the probe.  RPT needs this most: its
-slack is the whole persistence, so nearly every point survives the prune.
-The split is where the sparse solve's fixed cost (0.1-0.2 ms a call)
-stops losing to the dense one.  The sparse solvers see only canonical
-graphs (a duplicate cell gives a wrong matching or aborts the process),
-no exact 0 (it would be dropped), and a graph one column wider than tall
-(see ``_graph``).  scipy is imported only when a solve needs it.
+``_SPARSE_ROWS`` rows it is scattered into a dense matrix for
+``linear_sum_assignment``; from there on it is solved as a sparse graph,
+so nothing of size N² is built: ``min_weight_full_bipartite_matching`` for
+finite p.  At p = inf both go through ``_bottleneck``, one lower-bound-first
+threshold search (also behind :func:`solve_assignment`), whose probe is
+``linear_sum_assignment`` or ``maximum_bipartite_matching``.  RPT needs the
+sparse solve most: its slack is the whole persistence, so nearly every point
+survives the prune.  The split is where the sparse solve's fixed cost
+(0.1-0.2 ms a call) stops losing to the dense one.  The sparse solvers see
+only canonical graphs (a duplicate cell gives a wrong matching or aborts
+the process), no exact 0 (it would be dropped), and a graph one column
+wider than tall (see ``_graph``).  scipy is imported only when a solve
+needs it.
 
 No n×m cost block is built for it.  A kept edge has
 ``|x_i - x_j| <= c <= 2^(1/p) max(s_i, s_j) <= 2 max(s_i, s_j)`` on
@@ -103,12 +105,8 @@ def solve_assignment(cost, objective: str = "sum") -> MatchResult:
     """Minimum-cost perfect matching on a square matrix of costs >= 0 or inf.
 
     ``objective="sum"`` minimizes the total cost; ``objective="bottleneck"``
-    minimizes the largest matched entry.  Both are exact.  A perfect matching
-    uses an entry of every row and column, so none beats ``lb = max(max_i
-    min_j M, max_j min_i M)``: the bottleneck search probes ``lb`` first and
-    binary-searches the larger finite entries only if that fails.  A probe
-    at ``t`` is the sum assignment of the 0/1 matrix ``M > t``, which costs 0
-    exactly when a matching within ``t`` exists.
+    minimizes the largest matched entry by the threshold search that every
+    bottleneck distance runs (``_bottleneck``).  Both are exact.
     """
     M = np.asarray(cost, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -125,7 +123,7 @@ def solve_assignment(cost, objective: str = "sum") -> MatchResult:
 
     if objective != "bottleneck":
         raise ValueError(f"unknown objective {objective!r}")
-    cols, level = _bottleneck_solve(M)
+    cols, level = _bottleneck(len(M), slice(None), M.ravel(), False)
     return MatchResult(tuple(enumerate(cols.tolist())), level)
 
 
@@ -137,41 +135,6 @@ def _sum_solve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return linear_sum_assignment(M)
     except ValueError as exc:
         raise InfeasibleError(str(exc)) from None
-
-
-def _bottleneck_solve(M: np.ndarray) -> tuple[np.ndarray, float]:
-    """The columns and the value of a bottleneck matching of the nonempty
-    square matrix ``M``: the lower bound first, then the threshold search."""
-    level = max(M.min(axis=1).max(), M.min(axis=0).max())
-    return _threshold_search(level, M, lambda t: _matching_within(M, t))
-
-
-def _threshold_search(level, values: np.ndarray, within):
-    """The least of ``level`` and the larger finite ``values`` at which
-    ``within(t)`` finds a perfect matching, and its columns: ``level``, a
-    lower bound, is probed first, the values above it by binary search."""
-    cols = within(level) if level < math.inf else None
-    if cols is None:
-        levels = np.unique(values[(values > level) & np.isfinite(values)])
-        lo, hi = 0, levels.size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            found = within(levels[mid])
-            if found is None:
-                lo = mid + 1
-            else:
-                hi, cols, level = mid, found, levels[mid]
-    if cols is None:
-        raise InfeasibleError("no perfect matching avoids infinite entries")
-    return cols, float(level)
-
-
-def _matching_within(M: np.ndarray, threshold: float):
-    """Columns of a perfect matching using only entries <= threshold, or None."""
-    from scipy.optimize import linear_sum_assignment
-    over = M > threshold
-    rows, cols = linear_sum_assignment(over)
-    return None if over[rows, cols].any() else cols
 
 
 def _aggregate(costs: Sequence[float], p: float) -> float:
@@ -351,28 +314,55 @@ def _graph(N: int, cells: np.ndarray, data: np.ndarray):
                      shape=(N, N + 1))
 
 
-def _bottleneck(N: int, cells, vals: np.ndarray, sparse: bool) -> float:
-    """The bottleneck value of an N×N instance with ``vals`` at the flat
-    ``cells`` and inf elsewhere.  The sparse search takes its lower bound
-    from the row and column minima of the listed values and probes a
-    threshold t on the graph of the cells whose value is at most t."""
+def _bottleneck(N: int, cells, vals: np.ndarray, sparse: bool):
+    """The columns and the value of a bottleneck matching of the N×N
+    instance with ``vals`` at the flat ``cells`` and inf elsewhere.
+
+    A perfect matching uses an entry of every row and column, so none beats
+    ``lb``, the larger of the row and column minima: ``lb`` is probed first,
+    and the larger finite ``vals`` are binary-searched only if that fails.
+    A dense probe at t is the sum assignment of the 0/1 matrix ``M > t``,
+    which costs 0 exactly when a matching within t exists; a sparse one is
+    a maximum matching of the graph of the cells whose value is <= t."""
     if not N:
-        return 0.0
-    if not sparse:
-        return _bottleneck_solve(_dense(N, cells, vals))[1]
-    from scipy.sparse.csgraph import maximum_bipartite_matching
+        return (), 0.0
+    if sparse:
+        from scipy.sparse.csgraph import maximum_bipartite_matching
+        rows, cols = np.divmod(cells, N)
+        least = np.full(2 * N, math.inf)  # row minima, then column minima
+        np.minimum.at(least, np.concatenate((rows, cols + N)),
+                      np.tile(vals, 2))
+        level = least.max()
 
-    rows, cols = np.divmod(cells, N)
-    least = np.full(2 * N, math.inf)  # row minima, then column minima
-    np.minimum.at(least, np.concatenate((rows, cols + N)), np.tile(vals, 2))
+        def within(t):
+            kept = cells[vals <= t]
+            found = maximum_bipartite_matching(
+                _graph(N, kept, np.ones(kept.size)), perm_type="column")
+            return None if (found < 0).any() else found
+    else:
+        from scipy.optimize import linear_sum_assignment
+        M = _dense(N, cells, vals)
+        level = max(M.min(axis=1).max(), M.min(axis=0).max())
 
-    def within(t):
-        kept = cells[vals <= t]
-        found = maximum_bipartite_matching(
-            _graph(N, kept, np.ones(kept.size)), perm_type="column")
-        return None if (found < 0).any() else found
+        def within(t):
+            over = M > t
+            rows, found = linear_sum_assignment(over)
+            return None if over[rows, found].any() else found
 
-    return _threshold_search(least.max(), vals, within)[1]
+    cols = within(level) if level < math.inf else None
+    if cols is None:
+        levels = np.unique(vals[(vals > level) & np.isfinite(vals)])
+        lo, hi = 0, levels.size
+        while lo < hi:
+            mid = (lo + hi) // 2
+            found = within(levels[mid])
+            if found is None:
+                lo = mid + 1
+            else:
+                hi, cols, level = mid, found, levels[mid]
+    if cols is None:
+        raise InfeasibleError("no perfect matching avoids infinite entries")
+    return cols, float(level)
 
 
 def _scaled(N: int, cells, vals: np.ndarray, p: float,
@@ -386,7 +376,7 @@ def _scaled(N: int, cells, vals: np.ndarray, p: float,
     # if the least positive cost scales to 0, such costs all tie: scale by
     # the bottleneck value (the least cost if that is 0)
     scale = top if (least / top) ** p > 0 else max(
-        _bottleneck(N, cells, vals, sparse), least)
+        _bottleneck(N, cells, vals, sparse)[1], least)
     # a cost that overflows here exceeds the bottleneck by more than n^(1/p),
     # so no optimal matching uses it
     with np.errstate(over="ignore"):
@@ -471,7 +461,7 @@ def _distances(A: TransformSet, B: TransformSet, ps: Sequence[float],
         for p, (N, cells, vals, dropped) in zip(ps, instances):
             sparse = slack == DIAGONAL and N >= _SPARSE_ROWS
             if math.isinf(p):
-                matched = [_bottleneck(N, cells, vals, sparse)]
+                matched = [_bottleneck(N, cells, vals, sparse)[1]]
             else:
                 matched = _matched(N, cells, vals, p, sparse)
             out.append(_aggregate(dropped + matched, p))

@@ -47,15 +47,19 @@ def random_morse_set(params: GenParams) -> MorseSet:
     mid = 0.5 * (ylo + yhi)
     rng = np.random.default_rng(params.seed)
     k = int(rng.integers(lo_k, hi_k + 1))
-    n_interior = 2 * k - 1
-    while True:
-        xs = np.sort(rng.uniform(a, b, n_interior))
-        if (xs[:-1] < xs[1:]).all() and xs[0] > a and xs[-1] < b:
-            break
-    positions = np.concatenate(([a], xs, [b]))
-    heights = np.empty(2 * k + 1)
-    heights[0::2] = rng.uniform(ylo, mid, k + 1)
-    heights[1::2] = rng.uniform(mid, yhi, k)
+    try:
+        while True:
+            xs = np.sort(rng.uniform(a, b, 2 * k - 1))
+            if (xs[:-1] < xs[1:]).all() and xs[0] > a and xs[-1] < b:
+                break
+        positions = np.concatenate(([a], xs, [b]))
+        heights = np.empty(2 * k + 1)
+        heights[0::2] = rng.uniform(ylo, mid, k + 1)
+        heights[1::2] = rng.uniform(mid, yhi, k)
+    # past numpy's largest dimension, or past memory: the count is too large
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"peak_count_range too large: cannot draw {k} "
+                         f"peaks ({exc})") from None
     return MorseSet(positions, heights, np.arange(2 * k + 1) % 2 == 1, (a, b))
 
 

@@ -2,6 +2,7 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -37,3 +38,22 @@ def mirrored_pair() -> tuple[MorseSet, MorseSet]:
     f = MorseSet.build([(1, 5), (3, 3)], [(0, 0), (2, 1), (4, 0)])
     g = MorseSet.build([(3, 5), (1, 3)], [(0, 0), (2, 1), (4, 0)])
     return f, g
+
+
+@pytest.fixture(params=[ValueError("Maximum allowed dimension exceeded"),
+                        MemoryError("Unable to allocate 1.46 TiB for an array")],
+                ids=["dimension", "memory"])
+def failing_draws(request, monkeypatch):
+    """Every uniform draw of ``np.random.default_rng`` raises what numpy
+    raises when 2k + 1 points pass its largest dimension or the memory, so a
+    huge peak count fails as it would, without allocating anything."""
+    real = np.random.default_rng
+
+    class Generator:
+        def __init__(self, seed):
+            self.integers = real(seed).integers
+
+        def uniform(self, *args):
+            raise request.param
+
+    monkeypatch.setattr(np.random, "default_rng", Generator)

@@ -569,6 +569,16 @@ class TestStability:
         assert err.startswith(f"morsepeak: {name} must be")
         assert err.count("\n") == 1
 
+    def test_failed_draw_exit_2(self, capsys, tmp_path, failing_draws):
+        # a count the arrays cannot hold: exit 2 with the parameter named,
+        # not 1, the code for a failed stability gate
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "stability", "--trials", "1", "--peaks",
+                             "1", "9223372036854775807", "-o", str(report))
+        assert (code, out) == (2, "") and not report.exists()
+        assert err.startswith("morsepeak: peak_count_range too large: ")
+        assert err.count("\n") == 1
+
     def test_exponent_form_negative_numbers(self, capsys, tmp_path):
         # argparse alone reads -1e3 as an option
         reports = [tmp_path / "exp.json", tmp_path / "int.json"]

@@ -11,14 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy.sparse import csgraph
 
 import morsepeak
 from morsepeak import (DIAGONAL, PAD_ORIGIN, ConstantSegmentError, GenParams,
                        KindMismatchError, MorseSet, PDSet, PTFeature, PTSet,
-                       RPTFeature, RPTSet, UnmatchableInfinityError,
-                       extract_critical_points, join_pt, morse_distance,
+                       RPTFeature, RPTSet, SampledSeries,
+                       UnmatchableInfinityError, extract_critical_points,
+                       join_pd, join_pt, morse_distance,
                        perturb, persistence_transformation, random_morse_set,
                        reduced_persistence_transformation, solve_assignment,
                        sup_dist, to_persistence_diagram, wasserstein)
@@ -847,3 +848,73 @@ class TestTriangleInequality:
                                                     DIAGONAL)
                 for a, b, c in itertools.permutations(range(3)):
                     assert d[a, c] <= (d[a, b] + d[b, c]) * (1 + 1e-9)
+
+
+@st.composite
+def sampled_pairs(draw):
+    """Values of f and g on one grid of n = 3-300 samples, and where the
+    grid splits into two segments (None for one): a random walk and a
+    perturbation of it, by noise of a drawn size, rounded to whole numbers
+    or to 0.1 for some draws, which makes plateaus and equal heights."""
+    n = draw(st.integers(3, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = rng.standard_normal(n).cumsum()
+    g = f + rng.uniform(-1.0, 1.0, n) * draw(
+        st.sampled_from((1e-6, 0.01, 0.3, 2.0)))
+    digits = draw(st.sampled_from((None, 0, 1)))
+    if digits is not None:
+        f, g = f.round(digits), g.round(digits)
+    cut = draw(st.none() | st.integers(2, n - 2)) if n >= 4 else None
+    bounds = [(0, n)] if cut is None else [(0, cut), (cut, n)]
+    # extraction rejects a constant segment
+    assume(all(np.ptp(h[a:b]) > 0 for h in (f, g) for a, b in bounds))
+    return f, g, bounds
+
+
+def superlevel_diagram(y, bounds) -> PDSet:
+    """extract -> PT -> PD of each segment of the samples ``y`` at x = 0,
+    1, ..., with no plateau tolerance, joined over the segments."""
+    x = np.arange(len(y), dtype=float)
+    sets = extract_critical_points(SampledSeries.multi(
+        [np.column_stack((x[a:b], y[a:b])) for a, b in bounds]), 0.0)
+    return join_pd(to_persistence_diagram(persistence_transformation(ms))
+                   for ms in sets)
+
+
+class TestDiagramStability:
+    """The classical stability theorems, end to end from the samples: the
+    superlevel diagrams of f and g on a path graph (one per segment) are
+    within ``||f - g||_inf`` in bottleneck distance (Cohen-Steiner,
+    Edelsbrunner & Harer, DCG 2007), and within the p-norm of ``f - g``
+    over the vertices and edges in W_p, an edge valued at the min of its
+    ends (Skraba & Turner).  Both bounds are attained, so they are compared
+    with a relative slack of 1e-12 for rounding, not exactly."""
+
+    @given(sampled_pairs())
+    def test_bottleneck_within_sup_norm(self, pair):
+        f, g, bounds = pair
+        d = wasserstein(superlevel_diagram(f, bounds),
+                        superlevel_diagram(g, bounds), INF, DIAGONAL)
+        assert d <= np.abs(f - g).max() * (1 + 1e-12)
+        if len(bounds) == 1:  # the essential points match each other
+            assert d >= abs(f.max() - g.max()) * (1 - 1e-12)
+
+    @given(sampled_pairs())
+    def test_wasserstein_within_cell_norm(self, pair):
+        f, g, bounds = pair
+        A, B = (superlevel_diagram(h, bounds) for h in (f, g))
+        edges = [np.minimum(h[a:b - 1], h[a + 1:b]) for h in (f, g)
+                 for a, b in bounds]
+        k = len(bounds)
+        cells = np.abs(np.concatenate(
+            [f - g] + [u - v for u, v in zip(edges[:k], edges[k:])]))
+        for p in (1, 2, 3):
+            bound = math.fsum(cells ** p) ** (1 / p)
+            assert wasserstein(A, B, p, DIAGONAL) <= bound * (1 + 1e-12)
+
+    def test_shift_attains_the_sup_norm(self):
+        f = np.array([0.0, 2.0, 1.0, 3.0, 0.5, 1.5, 1.5, 0.0])
+        bounds = [(0, 8)]
+        d = wasserstein(superlevel_diagram(f, bounds),
+                        superlevel_diagram(f + 0.25, bounds), INF, DIAGONAL)
+        assert d == 0.25

@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from morsepeak import core, metrics, pairing, stability
@@ -10,7 +11,10 @@ from morsepeak import (DIAGONAL, PAD_ORIGIN, GenParams, MorseSet,
                        UnmatchableInfinityError, check_stability,
                        morse_distance, perturb, perturb_with_info,
                        random_morse_set, reports_to_json, run_trials,
-                       shrink_counterexample, validate)
+                       shrink_counterexample, sup_dist, validate)
+
+from oracles import (brute_force_wasserstein, dense_wasserstein,
+                     morse_distance_direct)
 
 INF = math.inf
 
@@ -64,6 +68,11 @@ class TestGenerator:
                      lambda: run_trials(params, 0)):
             with pytest.raises(ValueError, match=f"^{name} must be"):
                 call()
+
+    def test_failed_draw_names_peak_count_range(self, failing_draws):
+        with pytest.raises(ValueError, match=r"^peak_count_range too large: "
+                           r"cannot draw 100000000000 peaks \("):
+            random_morse_set(GenParams(peak_count_range=(10**11, 10**11)))
 
 
 class TestPerturb:
@@ -160,6 +169,46 @@ class TestCheckStability:
         with pytest.raises(ValueError, match="p must be >= 1"):
             run_trials(GenParams(seed=1), trials=2, ps=(1.0, p))
 
+    @pytest.mark.parametrize("slack", [PAD_ORIGIN, DIAGONAL])
+    def test_order_changing_pair_breaks_the_bound(self, slack):
+        # distinct heights, no point moved by more than 0.173691, but the
+        # peaks at x = 5 and 7 swap ranks: the elder pairing and the rank
+        # matching of L no longer follow K's, and the PT bound fails at
+        # every p, the RPT bound that holds at p = 1 (2^0 = 1) too
+        up = np.arange(9) % 2 == 1
+        K = MorseSet(np.arange(9.0), np.array(
+            [0.60211, 3.001, 1.07544, 5 - 1e-9, 2.062086, 4.999, 0, 5,
+             1.80677]), up, (0.0, 8.0))
+        lx = [-0.013298, 1.035884, 1.956959, 2.958679, 4, 5, 5.945878, 7,
+              8.000192]
+        L = MorseSet(np.array(lx), np.array(
+            [0.650172, 3.001, 1.092809, 4.963137, 2.124318, 5.067127,
+             -0.173691, 4.864688, 1.80677]), up, (lx[0], lx[-1]))
+        assert validate(K).ok and validate(L).ok
+        assert max(sup_dist(a, b) for a, b in zip(
+            K.xy(np.arange(9)).tolist(), L.xy(np.arange(9)).tolist())) \
+            <= 0.173691
+        assert np.array_equal(K.min_order, L.min_order)
+        assert not np.array_equal(K.max_order, L.max_order)
+
+        make = {"pt": pairing.persistence_transformation,
+                "rpt": pairing.reduced_persistence_transformation}
+        ratios = {(1.0, "pt"): 1.452, (2.0, "pt"): 1.296, (INF, "pt"): 1.118,
+                  (1.0, "rpt"): 1.430}
+        for (p, transform), ratio in ratios.items():
+            r = check_stability(K, L, p, transform, slack)
+            assert r.ratio > 1 and not r.holds
+            assert r.ratio == pytest.approx(ratio, abs=5e-4)
+            assert r.rhs == pytest.approx(morse_distance_direct(K, L, p),
+                                          rel=1e-12)
+            A, B = make[transform](K), make[transform](L)
+            if slack == DIAGONAL:
+                want = dense_wasserstein(A, B, p)
+            else:  # equal sizes: no padding, every point matched
+                never = [INF] * len(A.array)
+                want = brute_force_wasserstein(A.array, B.array, never, never,
+                                               p)
+            assert r.lhs == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("p, lhs, ratio", [
         (1.0, INF, 1.0), (2.0, INF, 1.0), (INF, 1.5e308, 0.0)])
