@@ -32,9 +32,9 @@ EXIT_INVALID = 3
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    """The text of a file or of stdin, without a leading byte-order mark."""
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    return text.removeprefix("\ufeff")
 
 
 def _write_output(text: str, path: str | None) -> None:

@@ -448,7 +448,9 @@ def _parse_segment(lines: list[str], lineno: int) -> np.ndarray:
 def read_csv_series(text: str) -> SampledSeries:
     """Parse `x,y` CSV: whitespace-only lines split segments, rows before a
     segment's first numeric row are headers, and columns after the second
-    are ignored; a bad row is a ``ValueError`` naming its line."""
+    are ignored; a bad row is a ``ValueError`` naming its line.  A leading
+    byte-order mark, as spreadsheets write, is dropped."""
+    text = text.removeprefix("\ufeff")
     lines = [*map(str.strip, text.splitlines()), ""]  # "" ends the last segment
     segments, start = [], 0
     while start < len(lines):

@@ -1,10 +1,10 @@
 """Elder-rule peak pairing and the transforms derived from it.
 
-Two interchangeable pairing routines are provided: :func:`pair` sweeps the
-upper levelsets with a union-find over the alternating critical sequence,
-while :func:`pair_recursive` realizes the region-splitting recursion.  Both
-give the same injective map from maxima to death minima, as an x-order
-death-index array (the essential peak, the survivor, dies at minus infinity).
+Two pairing routines are provided: :func:`pair` sweeps the upper levelsets
+with a union-find over the alternating critical sequence and keeps the set's
+one :class:`Pairing`; :func:`pair_recursive` realizes the region-splitting
+recursion.  Both give the same injective map from maxima to death minima, as
+an x-order death-index array (the essential peak, the survivor, dies at -inf).
 """
 from __future__ import annotations
 
@@ -39,13 +39,12 @@ class PairingEntry:
 
 class Pairing(_Frozen):
     """The elder-rule pairing of ``ms``.  ``death`` holds, in x order, the
-    index of each point's death minimum, or -1 for minima and the essential
-    peak, as a read-only int array; ``entries`` are built on first use."""
+    index of each point's death minimum (-1 for minima and the essential
+    peak) as a read-only int copy; ``entries`` are built on first use."""
 
     def __init__(self, ms: MorseSet, death):
-        if death is not ms._memo.get("deaths"):  # the set's own is frozen
-            death = np.array(death, dtype=int).reshape(-1)
-            death.flags.writeable = False
+        death = np.array(death, dtype=int).reshape(-1)
+        death.flags.writeable = False
         self.__dict__.update(ms=ms, death=death)
 
     def _values(self) -> tuple:
@@ -61,7 +60,7 @@ class Pairing(_Frozen):
                      for i in self.ms.max_order.tolist())
 
 
-def _elder_deaths(ms: MorseSet) -> np.ndarray:
+def _elder_deaths(ms: MorseSet) -> list[int]:
     # Union-find on the x order: a component of the upper levelset is an
     # interval [l, r] with span[l] = r, span[r] = l and elder peak elder[l].
     # Each maximum starts alone; minima come from the top down, leftmost
@@ -78,8 +77,6 @@ def _elder_deaths(ms: MorseSet) -> np.ndarray:
             death[young] = i
             elder[l] = old
             span[l], span[r] = r, l
-    death = np.array(death, dtype=int)
-    death.flags.writeable = False
     return death
 
 
@@ -88,10 +85,10 @@ def pair(ms: MorseSet) -> Pairing:
 
     Points are activated from the top down; every interior minimum merges the
     components of its two neighboring maxima and kills the younger of the two
-    representative peaks.  The set keeps the sweep's result; it runs once.
+    representative peaks.  The set keeps its Pairing: the sweep runs once.
     """
     require_valid(ms)
-    return Pairing(ms, ms.memo("deaths", _elder_deaths))
+    return ms.memo("pairing", lambda ms: Pairing(ms, _elder_deaths(ms)))
 
 
 def pair_recursive(ms: MorseSet) -> Pairing:

@@ -7,7 +7,8 @@ sequence, the diagram oracle is derived from that sweep, the transform
 rows are built one object at a time from it, the assignment/matching
 oracles enumerate permutations, the dense Wasserstein oracle solves the
 full diagonal-bordered matrix unpruned, built entry by entry with
-``sup_dist`` rather than by the library's matrix code, and the dense prune
+``sup_dist`` rather than by the library's matrix code, with a bottleneck
+search of its own that bisects every finite entry, and the dense prune
 oracle applies the slack prune to every entry of that matrix where the
 library searches a sorted window for candidate edges.
 """
@@ -217,6 +218,25 @@ def brute_force_assignment(matrix, objective: str = "sum") -> float:
     return best
 
 
+def exhaustive_matching(matrix, p: float) -> float:
+    """The least p-norm of a perfect matching of a square cost matrix, exact
+    over every matching by dynamic programming on the set of columns the
+    first rows take: n 2^n steps where the permutations are n!."""
+    n = len(matrix)
+    add = max if math.isinf(p) else lambda total, c: total + c ** p
+    best = {0: 0.0}  # columns taken by rows 0..i-1 -> least total
+    for row in matrix:
+        nxt = {}
+        for taken, total in best.items():
+            for j, c in enumerate(row):
+                if not taken >> j & 1:
+                    key, value = taken | 1 << j, add(total, c)
+                    nxt[key] = min(nxt.get(key, math.inf), value)
+        best = nxt
+    total = best[(1 << n) - 1]
+    return total if math.isinf(p) else total ** (1 / p)
+
+
 def brute_force_wasserstein(points_a, points_b, slack_a, slack_b,
                             p: float) -> float:
     """Enumerate every matching of two small point multisets where each point
@@ -320,6 +340,31 @@ def dense_pruned_matrix(pa, sa, pb, sb, p: float):
     return raw, sa[~rows].tolist() + sb[~cols].tolist()
 
 
+def dense_bottleneck(raw) -> float:
+    """The least entry t of the square matrix ``raw`` such that a perfect
+    matching uses only entries <= t: a bisection of its sorted distinct
+    finite entries, each probe the sum assignment of the 0/1 matrix
+    ``raw > t``, which costs 0 exactly when such a matching exists.  No
+    lower bound and no library search; ``InfeasibleError`` if no matching
+    avoids the inf entries."""
+    from scipy.optimize import linear_sum_assignment
+
+    def fits(t):
+        over = raw > t
+        return not over[linear_sum_assignment(over)].any()
+
+    if not len(raw):
+        return 0.0
+    levels = np.unique(raw[np.isfinite(raw)])
+    if not levels.size or not fits(levels[-1]):
+        raise InfeasibleError("no perfect matching of finite cost")
+    lo, hi = 0, levels.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(levels[mid]) else (mid + 1, hi)
+    return float(levels[lo])
+
+
 def dense_scaled(raw, p: float):
     """``(raw / scale) ** p`` over the whole matrix: ``scale`` is its largest
     finite entry, or the bottleneck value if the least positive entry would
@@ -327,7 +372,7 @@ def dense_scaled(raw, p: float):
     top = raw.max(where=np.isfinite(raw), initial=0.0) or 1.0
     least = raw.min(where=raw > 0, initial=math.inf)
     scale = top if (least / top) ** p > 0 else max(
-        solve_assignment(raw, objective="bottleneck").cost, least)
+        dense_bottleneck(raw), least)
     scaled = np.divide(raw, scale)
     with np.errstate(over="ignore"):
         np.power(scaled, p, out=scaled)
@@ -342,7 +387,7 @@ def dense_wasserstein(A, B, p: float) -> float:
     raw = per_entry_cost_matrix(pa, sa, pb, sb, "diagonal")
     try:
         if math.isinf(p):
-            return solve_assignment(raw, objective="bottleneck").cost
+            return dense_bottleneck(raw)
         pairs = solve_assignment(dense_scaled(raw, p)).pairs
         # Python floats: a total past the largest double is inf, silently
         return _aggregate([raw.item(ij) for ij in pairs], p)

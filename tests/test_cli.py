@@ -241,6 +241,32 @@ GOLDEN_CASES = {
 }
 
 
+class TestByteOrderMark:
+    # spreadsheets write UTF-8 with a leading U+FEFF; a CSV or JSON input
+    # that starts with one gives the output of the same text without it
+    CSV = "0,0\n1,3\n2,1\n3,5\n4,0\n"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_as_without(self, capsys, monkeypatch, tmp_path, fmt,
+                               source):
+        text = self.CSV
+        if fmt == "json":
+            plain = tmp_path / "plain.csv"
+            plain.write_text(text)
+            text = run(capsys, "extract", str(plain))[1]
+        outs = []
+        for mark in ("", "\ufeff"):
+            path = tmp_path / f"in{len(mark)}.{fmt}"
+            path.write_text(mark + text, encoding="utf-8")
+            if source == "stdin":
+                monkeypatch.setattr(sys, "stdin", io.StringIO(mark + text))
+                path = "-"
+            outs.append(run(capsys, "transform", str(path), "--kind", "pt"))
+        assert outs[1] == outs[0] and outs[0][0] == 0
+        assert [0.0, 0.0] in json.loads(outs[0][1])["diagonal"]
+
+
 class TestJSONShape:
     """JSON input of the wrong shape is an input error naming the input."""
 
@@ -416,6 +442,36 @@ class TestDistance:
         assert code == 0 and float(out) == pytest.approx(2.0)
         code, out, _ = run(capsys, "distance", str(fa), str(fb), "--p", "inf")
         assert float(out) == pytest.approx(2.0)
+
+    def test_pd_bottleneck_at_scale(self, capsys, monkeypatch, tmp_path):
+        # Cohen-Steiner, Edelsbrunner & Harer through the CSV reader, the
+        # JSON writer and reader and the sparse bottleneck search: a random
+        # walk f and g = f + noise give |max f - max g| <= d <= ||f - g||_inf,
+        # attained at 10k samples, so 1e-11 covers the 12 printed digits
+        n = 100_000 if os.environ.get("MORSEPEAK_HYPOTHESIS") == "thorough" \
+            else 10_000
+        rng = np.random.default_rng(0)
+        f = np.cumsum(rng.standard_normal(n))
+        walks = {"f": f, "g": f + rng.uniform(-0.05, 0.05, n)}
+        searches = []
+        real = morsepeak.metrics._bottleneck
+        monkeypatch.setattr(morsepeak.metrics, "_bottleneck", lambda *a: (
+            searches.append(a[3]), real(*a))[1])
+        for name, walk in walks.items():
+            csv = tmp_path / f"{name}.csv"
+            np.savetxt(csv, np.column_stack((np.arange(n), walk)),
+                       fmt=("%d", "%.6f"), delimiter=",")
+            walks[name] = np.loadtxt(csv, delimiter=",")[:, 1]
+            assert run(capsys, "transform", str(csv), "--kind", "pd", "-o",
+                       str(tmp_path / f"{name}.json"))[0] == 0
+        code, out, _ = run(capsys, "distance", str(tmp_path / "f.json"),
+                           str(tmp_path / "g.json"), "--kind", "pd",
+                           "--p", "inf")
+        f, g = walks.values()
+        assert code == 0 and searches == [True]
+        d = float(out)
+        assert abs(f.max() - g.max()) * (1 - 1e-11) <= d
+        assert d <= np.abs(f - g).max() * (1 + 1e-11)
 
     def test_morse_large_p(self, capsys, tmp_path):
         fa, fb = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -390,6 +390,14 @@ class TestCSVContract:
         with pytest.raises(EmptyInputError, match="CSV contains no data rows"):
             read_csv_series(text)
 
+    @pytest.mark.parametrize("text", ["0,0\n1,3\n2,1\n3,5\n4,0\n",
+                                      "0,0\r\n1,3\r\n\r\n5,2\r\n6,0\r\n"])
+    def test_leading_byte_order_mark_dropped(self, text):
+        # spreadsheets write UTF-8 with a leading U+FEFF; read as a header
+        # cell, it would drop the first sample
+        assert parsed("\ufeff" + text) == parsed(text)
+        assert parsed("\ufeff" + text)[0][0] == (0, 0)
+
     def test_non_finite_sample_named_as_tuple(self):
         series = read_csv_series("x,y\n0,0\n1,nan\n2,1\n")
         with pytest.raises(ValueError) as exc:

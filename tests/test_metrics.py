@@ -29,7 +29,8 @@ from morsepeak.metrics import (_candidates, _dense, _points,
                                _points as _rpt_points, _pruned, _scaled, _sup,
                                InfeasibleError)
 from oracles import (brute_force_assignment, brute_force_wasserstein,
-                     dense_pruned_matrix, dense_scaled, dense_wasserstein,
+                     dense_bottleneck, dense_pruned_matrix, dense_scaled,
+                     dense_wasserstein, exhaustive_matching,
                      morse_distance_direct, per_entry_cost_matrix,
                      zero_padded)
 
@@ -334,6 +335,28 @@ class TestAssignment:
                 got = INF
             assert got == pytest.approx(brute_force_assignment(M.tolist(),
                                                                objective))
+
+
+SQUARE_COSTS = st.sampled_from(range(7)).flatmap(lambda n: st.lists(
+    st.one_of(st.integers(0, 4).map(float), st.floats(0, 10), st.just(INF)),
+    min_size=n * n, max_size=n * n).map(
+        lambda v: np.array(v, dtype=float).reshape(n, n)))
+
+
+@given(SQUARE_COSTS)
+def test_oracle_matchings_match_brute_force(M):
+    # the oracle's own bottleneck search, which every p = inf check of the
+    # pruned and sparse paths compares the library with, and its subset
+    # dynamic program, against every permutation
+    want = brute_force_assignment(M.tolist(), "bottleneck")
+    assert exhaustive_matching(M.tolist(), INF) == want
+    assert exhaustive_matching(M.tolist(), 1.0) == pytest.approx(
+        brute_force_assignment(M.tolist()), rel=1e-12)
+    if math.isinf(want):
+        with pytest.raises(InfeasibleError):
+            dense_bottleneck(M)
+    else:
+        assert dense_bottleneck(M) == want
 
 
 class TestWasserstein:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from morsepeak import (GenParams, MorseSet, PDPoint, PDSet, PTFeature, PTSet,
-                       RPTFeature, RPTSet, SampledSeries, denoise,
+from morsepeak import (GenParams, InvalidMorseSetError, MorseSet, PDPoint,
+                       PDSet, PTFeature, PTSet, RPTFeature, RPTSet,
+                       SampledSeries, denoise,
                        extract_critical_points, pair, pair_recursive,
                        persistence_transformation, random_morse_set,
                        reduced_persistence_transformation,
@@ -101,9 +102,21 @@ class TestPairing:
         assert repr(pr) == f"Pairing(entries={pr.entries!r})"
 
     def test_pair_holds_the_kept_array(self, e1):
+        # the set keeps its one Pairing, and with it the entries
         a, b = pair(e1), pair(e1)
-        assert np.shares_memory(a.death, b.death)
+        assert a is b and a.entries is b.entries
         assert not a.death.flags.writeable
+
+    def test_invalid_set_raises_on_every_call(self, monkeypatch):
+        swept = []
+        real = pairing._elder_deaths
+        monkeypatch.setattr(pairing, "_elder_deaths",
+                            lambda ms: swept.append(ms) or real(ms))
+        bad = MorseSet.build([(1, 0)], [(0, 1), (2, 1)])
+        for _ in range(2):
+            with pytest.raises(InvalidMorseSetError):
+                pair(bad)
+        assert swept == [] and bad.memo("pairing", lambda ms: None) is None
 
     def test_given_array_is_copied(self, e1):
         arr = np.array(pair(e1).death)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,8 @@ from morsepeak import (DIAGONAL, PAD_ORIGIN, GenParams, MorseSet,
                        shrink_counterexample, sup_dist, validate)
 
 from oracles import (brute_force_wasserstein, dense_wasserstein,
-                     morse_distance_direct)
+                     exhaustive_matching, morse_distance_direct,
+                     per_entry_cost_matrix)
 
 INF = math.inf
 
@@ -208,6 +210,40 @@ class TestCheckStability:
                 never = [INF] * len(A.array)
                 want = brute_force_wasserstein(A.array, B.array, never, never,
                                                p)
+            assert r.lhs == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("seed, above", [
+        (410172350513386, {("pt", 1.0): 1.00320, ("rpt", 1.0): 1.00409}),
+        (295813893439030, {("pt", 1.0): 1.03013, ("pt", 2.0): 1.00161,
+                           ("rpt", 1.0): 1.03036, ("rpt", 2.0): 1.00166})])
+    def test_reordering_seeds_break_the_bound(self, seed, above):
+        # two generated trials: L keeps K's min_order but two peaks swap
+        # ranks, and under pad-origin the ratio passes 1 exactly at the
+        # (transform, p) in ``above``; under diagonal it never does
+        K = random_morse_set(GenParams(seed=seed))
+        L = perturb(K, 0.1, seed + 1)
+        assert np.array_equal(K.min_order, L.min_order)
+        assert not np.array_equal(K.max_order, L.max_order)
+
+        make = {"pt": pairing.persistence_transformation,
+                "rpt": pairing.reduced_persistence_transformation}
+        for slack, transform, p in itertools.product(
+                (PAD_ORIGIN, DIAGONAL), make, (1.0, 2.0, INF)):
+            r = check_stability(K, L, p, transform, slack)
+            ratio = above.get((transform, p)) if slack == PAD_ORIGIN else None
+            if ratio is None:
+                assert r.ratio <= 1
+            else:
+                assert r.ratio > 1 and not r.holds
+                assert r.ratio == pytest.approx(ratio, abs=1e-5)
+            assert r.rhs == pytest.approx(morse_distance_direct(K, L, p),
+                                          rel=1e-12)
+            A, B = make[transform](K), make[transform](L)
+            if slack == DIAGONAL:
+                want = dense_wasserstein(A, B, p)
+            else:  # equal sizes: no padding, every point matched
+                want = exhaustive_matching(per_entry_cost_matrix(
+                    A.array, None, B.array, None, PAD_ORIGIN).tolist(), p)
             assert r.lhs == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("p, lhs, ratio", [
