@@ -12,22 +12,24 @@ diagonal copies at cost 0 is no worse.  Diagonal copies pair only at kept
 edges, and a point of finite slack with no kept edge goes to the diagonal
 outright.  The answer equals the full bordered matrix's.
 
-Each pruned instance is one edge list: the finite cells of its N×N
-bordered matrix (kept edges, each point to its own copy, the copy-to-copy
-transposes of kept edges), each once and ascending.  Below
-``_SPARSE_ROWS`` rows it is scattered into a dense matrix for
-``linear_sum_assignment``; from there on it is solved as a sparse graph,
-so nothing of size N² is built: ``min_weight_full_bipartite_matching`` for
-finite p.  At p = inf both go through ``_bottleneck``, one lower-bound-first
-threshold search (also behind :func:`solve_assignment`), whose probe is
-``linear_sum_assignment`` or ``maximum_bipartite_matching``.  RPT needs the
-sparse solve most: its slack is the whole persistence, so nearly every point
-survives the prune.  The split is where the sparse solve's fixed cost
-(0.1-0.2 ms a call) stops losing to the dense one.  The sparse solvers see
-only canonical graphs (a duplicate cell gives a wrong matching or aborts
-the process), no exact 0 (it would be dropped), and a graph one column
-wider than tall (see ``_graph``).  scipy is imported only when a solve
-needs it.
+Every instance is ``(N, cells, vals, dropped)``: the N×N matrix with
+``vals`` at the flat ``cells``, one ascending integer array of each cell
+once, and inf elsewhere, and the slacks of the points dropped from it.  A
+pruned instance is built for one p (kept edges, each point to its own copy,
+the copy-to-copy transposes of kept edges); the ``pad-origin`` block and a
+:func:`solve_assignment` matrix list every cell.  A pruned one of at least
+``_SPARSE_ROWS`` rows is solved as a sparse graph, so nothing of size N² is
+built (``min_weight_full_bipartite_matching`` for finite p), any other as a
+dense matrix.  At p = inf both go through ``_bottleneck``, one
+lower-bound-first threshold search (also behind :func:`solve_assignment`),
+whose probe is ``linear_sum_assignment`` or ``maximum_bipartite_matching``.
+RPT needs the sparse solve most: its slack is the whole persistence, so
+nearly every point survives the prune.  The split is where the sparse
+solve's fixed cost (0.1-0.2 ms a call) stops losing to the dense one.  The
+sparse solvers see only canonical graphs (a duplicate cell gives a wrong
+matching or aborts the process), no exact 0 (it would be dropped), and a
+graph one column wider than tall (see ``_graph``).  scipy is imported only
+when a solve needs it.
 
 No n×m cost block is built for it.  A kept edge has
 ``|x_i - x_j| <= c <= 2^(1/p) max(s_i, s_j) <= 2 max(s_i, s_j)`` on
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat, zip_longest
+from itertools import zip_longest
 from typing import Sequence, Union
 
 import numpy as np
@@ -111,8 +113,6 @@ def solve_assignment(cost, objective: str = "sum") -> MatchResult:
     M = np.asarray(cost, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("cost matrix must be square")
-    if M.size == 0:
-        return MatchResult((), 0.0)
     if not (M >= 0).all():  # NaN fails this too
         raise ValueError("cost entries must be nonnegative or +inf")
 
@@ -123,7 +123,7 @@ def solve_assignment(cost, objective: str = "sum") -> MatchResult:
 
     if objective != "bottleneck":
         raise ValueError(f"unknown objective {objective!r}")
-    cols, level = _bottleneck(len(M), slice(None), M.ravel(), False)
+    cols, level = _bottleneck(len(M), np.arange(M.size), M.ravel(), False)
     return MatchResult(tuple(enumerate(cols.tolist())), level)
 
 
@@ -245,50 +245,39 @@ def _candidates(P: np.ndarray, s: np.ndarray, n: int):
     return i, j, _sup(cols.take(i, axis=1), cols.take(j, axis=1)), s[q], s[at]
 
 
-def _pruned(P: np.ndarray, s: np.ndarray, n: int, ps: Sequence[float]):
-    """For each of ``ps``, the pruned diagonal-slack instance of the points
-    ``P`` (the first side's n first) with slacks ``s``: its size N, the flat
-    indices of its finite cells in the N×N bordered matrix, each once and
-    ascending, their values, and the dropped points' slacks.  The candidates
-    are found once, and a p that keeps the same edges as the p before it
-    gets the same instance.  The rule is taken relative to each edge's
+def _pruned(found: tuple, s: np.ndarray, n: int, p: float):
+    """The pruned diagonal-slack instance at p of the points with slacks
+    ``s`` (the first side's n first), from the candidate edges ``found`` by
+    :func:`_candidates`: its size N, the flat indices of its finite cells in
+    the N×N bordered matrix, each once and ascending, their values, and the
+    dropped points' slacks.  The rule is taken relative to each edge's
     larger slack t, so no power overflows."""
-    i, j, c, t, v = _candidates(P, s, n)
-    within = (c <= t) & (c < math.inf)
-    last = None
-    for p in ps:
-        keep = within
-        if not math.isinf(p):  # c^p <= 2 t^p: only t < c <= 2^(1/p) t is open
-            k = ((c > t) & (c / 2.0 ** (1.0 / p) <= t)).nonzero()[0]
-            keep = within.copy()
-            keep[k] = (c[k] / t[k]) ** p <= 1.0 + (v[k] / t[k]) ** p
-        if last is None or (keep != last).any():
-            last = keep
-            ik, jk = i[keep], j[keep]
-            alive = np.isinf(s)
-            alive[ik] = alive[jk] = True
-            rank = alive.cumsum() - 1
-            N = int(np.count_nonzero(alive))
-            na = np.count_nonzero(alive[:n])
-            ik, jk = rank[ik], rank[jk] - na
-            # a point meets its own copy at its slack, if finite: row k of
-            # the first side at column N - na + k, row na + k of the second
-            # at column k
-            diag = np.arange(N) * (N + 1) + (N - na)
-            diag[na:] -= N
-            own = s[alive]
-            finite = own < math.inf
-            # copies pair at 0 only at transposes of kept edges: an all-0
-            # block gives the same answer but a slower solve, 14.5 against
-            # 5.7-6.3 ms per diagram_matching op (RPT W2: 11.2 against
-            # 3.8 ms) on a 2-core Xeon
-            cells = np.concatenate((ik * N + jk, diag[finite],
-                                    (na + jk) * N + (N - na) + ik))
-            order = cells.argsort()
-            instance = (N, cells[order], np.concatenate(
-                (c[keep], own[finite], np.zeros(ik.size)))[order],
-                s[~alive].tolist())
-        yield instance
+    i, j, c, t, v = found
+    keep = (c <= t) & (c < math.inf)
+    if not math.isinf(p):  # c^p <= 2 t^p: only t < c <= 2^(1/p) t is open
+        k = ((c > t) & (c / 2.0 ** (1.0 / p) <= t)).nonzero()[0]
+        keep[k] = (c[k] / t[k]) ** p <= 1.0 + (v[k] / t[k]) ** p
+    ik, jk = i[keep], j[keep]
+    alive = np.isinf(s)
+    alive[ik] = alive[jk] = True
+    rank = alive.cumsum() - 1
+    N = int(np.count_nonzero(alive))
+    na = np.count_nonzero(alive[:n])
+    ik, jk = rank[ik], rank[jk] - na
+    # a point meets its own copy at its slack, if finite: row k of the first
+    # side at column N - na + k, row na + k of the second at column k
+    diag = np.arange(N) * (N + 1) + (N - na)
+    diag[na:] -= N
+    own = s[alive]
+    finite = own < math.inf
+    # copies pair at 0 only at transposes of kept edges: an all-0 block
+    # gives the same answer but a slower solve, 14.5 against 5.7-6.3 ms per
+    # diagram_matching op (RPT W2: 11.2 against 3.8 ms) on a 2-core Xeon
+    cells = np.concatenate((ik * N + jk, diag[finite],
+                            (na + jk) * N + (N - na) + ik))
+    order = cells.argsort()
+    return (N, cells[order], np.concatenate(
+        (c[keep], own[finite], np.zeros(ik.size)))[order], s[~alive].tolist())
 
 
 def _dense(N: int, cells: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -315,8 +304,8 @@ def _graph(N: int, cells: np.ndarray, data: np.ndarray):
 
 
 def _bottleneck(N: int, cells, vals: np.ndarray, sparse: bool):
-    """The columns and the value of a bottleneck matching of the N×N
-    instance with ``vals`` at the flat ``cells`` and inf elsewhere.
+    """The columns (none if N = 0) and the value of a bottleneck matching
+    of the N×N instance with ``vals`` at the flat ``cells``, inf elsewhere.
 
     A perfect matching uses an entry of every row and column, so none beats
     ``lb``, the larger of the row and column minima: ``lb`` is probed first,
@@ -325,7 +314,7 @@ def _bottleneck(N: int, cells, vals: np.ndarray, sparse: bool):
     which costs 0 exactly when a matching within t exists; a sparse one is
     a maximum matching of the graph of the cells whose value is <= t."""
     if not N:
-        return (), 0.0
+        return np.arange(0), 0.0
     if sparse:
         from scipy.sparse.csgraph import maximum_bipartite_matching
         rows, cols = np.divmod(cells, N)
@@ -365,18 +354,17 @@ def _bottleneck(N: int, cells, vals: np.ndarray, sparse: bool):
     return cols, float(level)
 
 
-def _scaled(N: int, cells, vals: np.ndarray, p: float,
-            sparse: bool) -> np.ndarray:
+def _scaled(N: int, cells, vals: np.ndarray, p: float) -> np.ndarray:
     """``(vals / scale) ** p`` for the sum solve at finite p, ``vals`` at
     the flat ``cells`` of an N×N instance: ``scale`` is the largest finite
     value, or the bottleneck value if the least positive one would scale
-    to 0.  Infinities stay inf."""
+    to 0 (by the sparse search).  Infinities stay inf."""
     top = vals.max(where=np.isfinite(vals), initial=0.0) or 1.0
     least = vals.min(where=vals > 0, initial=math.inf)
     # if the least positive cost scales to 0, such costs all tie: scale by
     # the bottleneck value (the least cost if that is 0)
     scale = top if (least / top) ** p > 0 else max(
-        _bottleneck(N, cells, vals, sparse)[1], least)
+        _bottleneck(N, cells, vals, True)[1], least)
     # a cost that overflows here exceeds the bottleneck by more than n^(1/p),
     # so no optimal matching uses it
     with np.errstate(over="ignore"):
@@ -389,26 +377,24 @@ def _matched(N: int, cells, vals: np.ndarray, p: float,
              sparse: bool) -> list[float]:
     """The costs of a minimum-cost perfect matching at finite p of the N×N
     instance with ``vals`` at the flat ``cells``, solved on the scaled
-    values, as a dense matrix or as a sparse graph (``cells`` ascending)."""
-    scaled = _scaled(N, cells, vals, p, sparse)
+    values, as a dense matrix or as a sparse graph, and read from ``vals``."""
+    scaled = _scaled(N, cells, vals, p)
     if not sparse:
-        raw = _dense(N, cells, scaled)
-        rows, cols = _sum_solve(raw)
-        raw.ravel()[cells] = vals
-        return raw[rows, cols].tolist()
-    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
-
-    # a scaled cost above N exceeds the optimum's total, which is at most
-    # N, and leaving it out keeps the solver's sums finite; the solver
-    # drops explicit zeros with a warning, and may then find no matching,
-    # so an exact 0 goes in as the least positive double
-    use = scaled <= N
-    w = scaled[use]
-    w[w == 0.0] = math.ulp(0.0)
-    try:
-        cols = min_weight_full_bipartite_matching(_graph(N, cells[use], w))[1]
-    except ValueError:
-        raise InfeasibleError("no full matching exists") from None
+        cols = _sum_solve(_dense(N, cells, scaled))[1]
+    else:
+        from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+        # a scaled cost above N exceeds the optimum's total, which is at
+        # most N, and leaving it out keeps the solver's sums finite; the
+        # solver drops explicit zeros with a warning, and may then find no
+        # matching, so an exact 0 goes in as the least positive double
+        use = scaled <= N
+        w = scaled[use]
+        w[w == 0.0] = math.ulp(0.0)
+        try:
+            cols = min_weight_full_bipartite_matching(
+                _graph(N, cells[use], w))[1]
+        except ValueError:
+            raise InfeasibleError("no full matching exists") from None
     return vals[cells.searchsorted(np.arange(N) * N + cols)].tolist()
 
 
@@ -436,7 +422,7 @@ def _distances(A: TransformSet, B: TransformSet, ps: Sequence[float],
                slack: str) -> list[float]:
     """:func:`wasserstein` at each of ``ps``: the checks, the points and the
     sup block (``pad-origin``) or the candidate edges (``diagonal``) are
-    made once, the prune and the solve once per p."""
+    made once, the pruned instance and the solve once per p."""
     ps = [_check_p(p) for p in ps]
     if type(A) is not type(B):
         raise KindMismatchError(
@@ -452,13 +438,14 @@ def _distances(A: TransformSet, B: TransformSet, ps: Sequence[float],
         m = max(n, len(P) - n)
         pa, pb = (np.concatenate([q, np.zeros((m - len(q), q.shape[1]))])
                   for q in (P[:n], P[n:]))
-        block = _sup(pa.T[:, :, None], pb.T[:, None])
-        instances = repeat((m, slice(None), block.ravel(), []))
+        whole = (m, np.arange(m * m), _sup(pa.T[:, :, None],
+                                           pb.T[:, None]).ravel(), [])
     else:
-        instances = _pruned(P, s, n, ps)
+        whole, found = None, _candidates(P, s, n)
     out = []
     try:
-        for p, (N, cells, vals, dropped) in zip(ps, instances):
+        for p in ps:
+            N, cells, vals, dropped = whole or _pruned(found, s, n, p)
             sparse = slack == DIAGONAL and N >= _SPARSE_ROWS
             if math.isinf(p):
                 matched = [_bottleneck(N, cells, vals, sparse)[1]]

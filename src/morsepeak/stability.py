@@ -38,7 +38,9 @@ def random_morse_set(params: GenParams) -> MorseSet:
 
     Produces boundary minima and alternating interior extrema; minima draw
     from the lower half of the height range and maxima from the upper half,
-    which keeps the alternation strict.
+    which keeps the alternation strict.  ValueError names ``domain`` if 100
+    draws of the interior positions find none distinct and strictly inside
+    it, and ``height_range`` if the drawn set fails :func:`validate`.
     """
     _check_params(params)
     lo_k, hi_k = params.peak_count_range
@@ -48,11 +50,12 @@ def random_morse_set(params: GenParams) -> MorseSet:
     rng = np.random.default_rng(params.seed)
     k = int(rng.integers(lo_k, hi_k + 1))
     try:
-        while True:
+        for _ in range(100):  # a domain of too few doubles never succeeds
             xs = np.sort(rng.uniform(a, b, 2 * k - 1))
             if (xs[:-1] < xs[1:]).all() and xs[0] > a and xs[-1] < b:
                 break
-        positions = np.concatenate(([a], xs, [b]))
+        else:
+            xs = None
         heights = np.empty(2 * k + 1)
         heights[0::2] = rng.uniform(ylo, mid, k + 1)
         heights[1::2] = rng.uniform(mid, yhi, k)
@@ -60,7 +63,16 @@ def random_morse_set(params: GenParams) -> MorseSet:
     except (MemoryError, ValueError) as exc:
         raise ValueError(f"peak_count_range too large: cannot draw {k} "
                          f"peaks ({exc})") from None
-    return MorseSet(positions, heights, np.arange(2 * k + 1) % 2 == 1, (a, b))
+    if xs is None:
+        raise ValueError(f"domain {params.domain} too narrow: 100 draws found "
+                         f"no {2 * k - 1} distinct interior positions")
+    ms = MorseSet(np.concatenate(([a], xs, [b])), heights,
+                  np.arange(2 * k + 1) % 2 == 1, (a, b))
+    if ms.report:
+        fails = ", ".join(sorted(ms.report.conditions()))
+        raise ValueError(f"height_range {params.height_range} too narrow: "
+                         f"the drawn set fails {fails}")
+    return ms
 
 
 def _check_params(params: GenParams) -> None:

@@ -7,10 +7,11 @@ sequence, the diagram oracle is derived from that sweep, the transform
 rows are built one object at a time from it, the assignment/matching
 oracles enumerate permutations, the dense Wasserstein oracle solves the
 full diagonal-bordered matrix unpruned, built entry by entry with
-``sup_dist`` rather than by the library's matrix code, with a bottleneck
-search of its own that bisects every finite entry, and the dense prune
-oracle applies the slack prune to every entry of that matrix where the
-library searches a sorted window for candidate edges.
+``sup_dist`` rather than by the library's matrix code, with slacks taken
+from their definitions, a p-norm and a bottleneck search of its own that
+bisects every finite entry, and the dense prune oracle applies the slack
+prune to every entry of that matrix where the library searches a sorted
+window for candidate edges.
 """
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ import numpy as np
 from morsepeak.core import (CriticalPoint, EmptyInputError, Kind, MorseSet,
                             colex_lt)
 from morsepeak.metrics import (PAD_ORIGIN, InfeasibleError,
-                               UnmatchableInfinityError, _aggregate, _points,
-                               solve_assignment, sup_dist)
-from morsepeak.pairing import PDPoint, PTFeature, RPTFeature
+                               UnmatchableInfinityError, solve_assignment,
+                               sup_dist)
+from morsepeak.pairing import PDPoint, PTFeature, RPTFeature, RPTSet
 
 
 def read_csv_reference(text: str) -> list[tuple[tuple[float, float], ...]]:
@@ -237,6 +238,26 @@ def exhaustive_matching(matrix, p: float) -> float:
     return total if math.isinf(p) else total ** (1 / p)
 
 
+def points_and_slacks(S) -> tuple[np.ndarray, list[float]]:
+    """The rows of a transform set and their slacks, the sup-norm distance
+    to the zero-persistence locus, from the definitions: the persistence of
+    an RPT row, birth/2 - death/2 of a PT row (x, birth, death) or a PD row
+    (birth, death)."""
+    if isinstance(S, RPTSet):
+        return S.array, [persistence for _, persistence in S.array.tolist()]
+    return S.array, [birth / 2 - death / 2
+                     for *_, birth, death in S.array.tolist()]
+
+
+def p_norm(costs, p: float) -> float:
+    """The p-norm (p finite) of ``costs``, taken relative to the largest so
+    that no power underflows or overflows; inf if a cost is inf."""
+    top = max(costs, default=0.0)
+    if math.isinf(top) or top == 0.0:
+        return top
+    return top * math.fsum((c / top) ** p for c in costs) ** (1 / p)
+
+
 def brute_force_wasserstein(points_a, points_b, slack_a, slack_b,
                             p: float) -> float:
     """Enumerate every matching of two small point multisets where each point
@@ -254,14 +275,8 @@ def brute_force_wasserstein(points_a, points_b, slack_a, slack_b,
                          for i, j in zip(subset_a, subset_b)]
                 costs += [slack_a[i] for i in rest_a]
                 costs += [slack_b[j] for j in rest_b]
-                if math.isinf(p):
-                    value = max(costs, default=0.0)
-                elif any(math.isinf(c) for c in costs):
-                    value = math.inf
-                else:  # top * ||costs / top||_p: c ** p would underflow
-                    top = max(costs, default=0.0)
-                    value = top and top * math.fsum(
-                        (c / top) ** p for c in costs) ** (1 / p)
+                value = max(costs, default=0.0) if math.isinf(p) \
+                    else p_norm(costs, p)
                 best = min(best, value)
     return best
 
@@ -382,14 +397,15 @@ def dense_scaled(raw, p: float):
 def dense_wasserstein(A, B, p: float) -> float:
     """Diagonal-slack Wasserstein distance from one solve of the full
     ``(n+m)^2`` bordered matrix of :func:`per_entry_cost_matrix`, with the
-    same scale-safe powers as the library but no pruning."""
-    (pa, sa), (pb, sb) = map(_points, (A, B))
+    same scale-safe powers as the library but no pruning, the slacks of
+    :func:`points_and_slacks` and the matched costs' :func:`p_norm`."""
+    (pa, sa), (pb, sb) = map(points_and_slacks, (A, B))
     raw = per_entry_cost_matrix(pa, sa, pb, sb, "diagonal")
     try:
         if math.isinf(p):
             return dense_bottleneck(raw)
         pairs = solve_assignment(dense_scaled(raw, p)).pairs
         # Python floats: a total past the largest double is inf, silently
-        return _aggregate([raw.item(ij) for ij in pairs], p)
+        return p_norm([raw.item(ij) for ij in pairs], p)
     except InfeasibleError:
         raise UnmatchableInfinityError("no admissible partner") from None

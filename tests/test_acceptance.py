@@ -24,9 +24,9 @@ from morsepeak import (DIAGONAL, PAD_ORIGIN, GenParams, MorseSet,
                        pair_recursive, perturb, persistence_transformation,
                        random_morse_set, solve_assignment,
                        to_persistence_diagram, wasserstein)
-from morsepeak.metrics import InfeasibleError, _points as _pt_points
+from morsepeak.metrics import InfeasibleError
 from oracles import (brute_force_assignment, brute_force_wasserstein,
-                     sweep_diagram, sweep_pairing)
+                     points_and_slacks, sweep_diagram, sweep_pairing)
 
 INF = math.inf
 
@@ -177,8 +177,8 @@ def test_criterion_05_symmetric_pair_discrimination(mirrored_pair):
     pd_dist = wasserstein(to_persistence_diagram(ptf),
                           to_persistence_diagram(ptg), INF, DIAGONAL)
     pt_dist = wasserstein(ptf, ptg, INF, DIAGONAL)
-    pa, sa = _pt_points(ptf)
-    pb, sb = _pt_points(ptg)
+    pa, sa = points_and_slacks(ptf)
+    pb, sb = points_and_slacks(ptg)
     oracle = brute_force_wasserstein(pa, pb, sa, sb, INF)
     ok = (pd_dist == 0.0 and abs(pt_dist - 2.0) <= 1e-12
           and abs(oracle - 2.0) <= 1e-12)

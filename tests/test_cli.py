@@ -635,6 +635,27 @@ class TestStability:
         assert err.startswith("morsepeak: peak_count_range too large: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag, name", [
+        (["--trials", "1", "--peaks", "10", "10", "--domain",
+          "1000000000000000", "1000000000000002"], "domain"),
+        (["--trials", "2", "--heights", "10000000000000000",
+          "10000000000000002"], "height_range"),
+        (["--trials", "2", "--heights", "1e16", "1.0000000000000004e16"],
+         "height_range")])
+    def test_too_narrow_range_exit_2(self, tmp_path, flag, name):
+        # too few doubles in the domain, or a minimum that ties a maximum;
+        # in a subprocess with a timeout, so a draw that never ends fails
+        report = tmp_path / "report.json"
+        package_root = str(Path(morsepeak.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "morsepeak", "stability", *flag, "-o",
+             str(report)], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": package_root})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert not report.exists()
+        assert proc.stderr.startswith(f"morsepeak: {name} ")
+        assert "too narrow" in proc.stderr and proc.stderr.count("\n") == 1
+
     def test_exponent_form_negative_numbers(self, capsys, tmp_path):
         # argparse alone reads -1e3 as an option
         reports = [tmp_path / "exp.json", tmp_path / "int.json"]

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import os
@@ -24,15 +25,13 @@ from morsepeak import (DIAGONAL, PAD_ORIGIN, ConstantSegmentError, GenParams,
                        reduced_persistence_transformation, solve_assignment,
                        sup_dist, to_persistence_diagram, wasserstein)
 from morsepeak import metrics
-from morsepeak.metrics import (_candidates, _dense, _points,
-                               _points as _pd_points, _points as _pt_points,
-                               _points as _rpt_points, _pruned, _scaled, _sup,
-                               InfeasibleError)
+from morsepeak.metrics import (_candidates, _dense, _points, _pruned, _scaled,
+                               _sup, InfeasibleError)
 from oracles import (brute_force_assignment, brute_force_wasserstein,
                      dense_bottleneck, dense_pruned_matrix, dense_scaled,
                      dense_wasserstein, exhaustive_matching,
                      morse_distance_direct, per_entry_cost_matrix,
-                     zero_padded)
+                     points_and_slacks, zero_padded)
 
 INF = math.inf
 
@@ -176,7 +175,7 @@ class TestScaleSafety:
         A, B = self.TINY_A, self.TINY_B
         got = wasserstein(A, B, 60, slack)
         assert got == pytest.approx(2 ** (1 / 60) * 1e-6, rel=1e-9)
-        (pa, sa), (pb, sb) = _rpt_points(A), _rpt_points(B)
+        (pa, sa), (pb, sb) = points_and_slacks(A), points_and_slacks(B)
         assert got == pytest.approx(
             brute_force_wasserstein(pa, pb, sa, sb, 60), rel=1e-9)
         # no cost underflows at p = 2 and p = 20, so these keep the top scaling
@@ -216,7 +215,7 @@ class TestCostMatrix:
     def assert_per_entry(A, B, slack):
         """The array costs of A and B equal the oracle's, built entry by
         entry with ``sup_dist``; returns them."""
-        (pa, sa), (pb, sb) = _points(A), _points(B)
+        (pa, sa), (pb, sb) = points_and_slacks(A), points_and_slacks(B)
         want = per_entry_cost_matrix(pa, sa, pb, sb, slack)
         if slack == PAD_ORIGIN:  # as wasserstein pads them
             qa, qb = (np.array(q).T for q in zero_padded(pa, pb))
@@ -238,7 +237,7 @@ class TestCostMatrix:
             for make, extra in zip(TRANSFORMS, NULL_DECODED):
                 for A, B in ((make(K), make(L)), (make(K), extra),
                              (extra, make(L)), (extra, extra)):
-                    (pa, _), (pb, _) = _points(A), _points(B)
+                    pa, pb = A.array, B.array
                     assert np.isinf(pa).any() and np.isinf(pb).any()
                     self.assert_per_entry(A, B, slack)
 
@@ -292,7 +291,12 @@ class TestAssignment:
             solve_assignment([[INF, INF], [1.0, 1.0]], objective="bottleneck")
 
     def test_empty(self):
-        assert solve_assignment(np.zeros((0, 0))).cost == 0.0
+        for objective in ("sum", "bottleneck"):
+            r = solve_assignment(np.zeros((0, 0)), objective)
+            assert r.pairs == () and r.cost == 0.0
+        # checked as on any other matrix
+        with pytest.raises(ValueError, match="unknown objective 'median'"):
+            solve_assignment(np.zeros((0, 0)), objective="median")
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
@@ -420,15 +424,10 @@ class TestWasserstein:
             K = random_morse_set(GenParams(peak_count_range=(1, 3), seed=seed))
             L = random_morse_set(GenParams(peak_count_range=(1, 3),
                                            seed=seed + 4_000))
-            for kind, make in (("pt", persistence_transformation),
-                               ("rpt", reduced_persistence_transformation),
-                               ("pd", lambda m: to_persistence_diagram(
-                                   persistence_transformation(m)))):
+            for make in TRANSFORMS:
                 A, B = make(K), make(L)
-                extract = {"pt": _pt_points, "rpt": _rpt_points,
-                           "pd": _pd_points}[kind]
-                pa, sa = extract(A)
-                pb, sb = extract(B)
+                pa, sa = points_and_slacks(A)
+                pb, sb = points_and_slacks(B)
                 for p in (1, 2, INF):
                     want = brute_force_wasserstein(pa, pb, sa, sb, p)
                     if math.isinf(want):
@@ -560,11 +559,12 @@ def assert_same_instance(A, B):
     oracle's exactly, at every p of GRID_P: its edge list is the oracle
     matrix's finite cells, each once and ascending, with their values, and
     scatters into that matrix; the dropped slacks agree; and the scaled
-    values scatter into the oracle's scaled matrix, whether the bottleneck
-    fallback of the scaling runs dense or sparse."""
-    (pa, sa), (pb, sb) = _points(A), _points(B)
-    instances = _pruned(*_points(A, B), len(pa), GRID_P)
-    for p, (N, cells, vals, dropped) in zip(GRID_P, instances):
+    values scatter into the oracle's scaled matrix."""
+    (pa, sa), (pb, sb) = points_and_slacks(A), points_and_slacks(B)
+    P, s = _points(A, B)
+    found = _candidates(P, s, len(pa))
+    for p in GRID_P:
+        N, cells, vals, dropped = _pruned(found, s, len(pa), p)
         want, want_dropped = dense_pruned_matrix(pa, sa, pb, sb, p)
         assert np.array_equal(cells, np.flatnonzero(np.isfinite(want)))
         assert np.array_equal(vals, want.ravel()[cells])
@@ -572,12 +572,11 @@ def assert_same_instance(A, B):
         assert dropped == want_dropped
         if not math.isinf(p):
             scaled = outcome(dense_scaled, want, p)
-            for sparse in (False, True):
-                got = outcome(_scaled, N, cells, vals, p, sparse)
-                if isinstance(scaled, type):
-                    assert got is scaled
-                else:
-                    assert np.array_equal(_dense(N, cells, got), scaled)
+            got = outcome(_scaled, N, cells, vals, p)
+            if isinstance(scaled, type):
+                assert got is scaled
+            else:
+                assert np.array_equal(_dense(N, cells, got), scaled)
 
 
 ULP_6, ULP_300 = np.spacing(1e6), np.spacing(1e300)
@@ -850,6 +849,71 @@ print(morsepeak.wasserstein(A, B).hex(), "scipy.optimize" in sys.modules)
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": package_root})
         assert proc.stdout == "0x1.050b4190cb566p-4 True\n", proc.stderr
+
+
+class TestInstanceShape:
+    """Every instance a solve receives is one list of cells: the flat
+    indices of its finite entries in the N×N matrix, integers ascending,
+    one per value."""
+
+    @staticmethod
+    def spied(monkeypatch) -> list:
+        """The (N, cells, vals) of every call of ``_matched`` and
+        ``_bottleneck`` from now on."""
+        seen = []
+        for name in ("_matched", "_bottleneck"):
+            def spy(N, cells, vals, *rest, _real=getattr(metrics, name)):
+                seen.append((N, cells, vals))
+                return _real(N, cells, vals, *rest)
+            monkeypatch.setattr(metrics, name, spy)
+        return seen
+
+    @staticmethod
+    def solve(case: str) -> None:
+        # the p = 60 costs of the TINY pair underflow, so the scaling also
+        # runs the bottleneck search on the instance
+        A, B = TestScaleSafety.TINY_A, TestScaleSafety.TINY_B
+        if case == "solve_assignment":
+            for M in (np.zeros((0, 0)), [[3.0, INF], [1.0, 2.0]]):
+                solve_assignment(M, "bottleneck")
+        elif case == "N = 0":
+            A = B = PDSet(np.empty((0, 2)))
+            for p in (2, INF):
+                wasserstein(A, B, p, DIAGONAL)
+                wasserstein(A, B, p, PAD_ORIGIN)
+        else:
+            slack = PAD_ORIGIN if case == "pad-origin" else DIAGONAL
+            with pytest.MonkeyPatch.context() as mp:
+                if case == "diagonal sparse":
+                    mp.setattr(metrics, "_SPARSE_ROWS", 1)
+                for p in (2, 60, INF):
+                    wasserstein(A, B, p, slack)
+
+    @pytest.mark.parametrize("case", ["pad-origin", "diagonal dense",
+                                      "diagonal sparse", "N = 0",
+                                      "solve_assignment"])
+    def test_cells_ascend_one_per_value(self, monkeypatch, case):
+        seen = self.spied(monkeypatch)
+        self.solve(case)
+        assert seen
+        for N, cells, vals in seen:
+            assert isinstance(cells, np.ndarray) and cells.dtype.kind == "i"
+            assert cells.shape == vals.shape
+            assert (np.diff(cells) > 0).all()
+            assert not cells.size or 0 <= cells[0] <= cells[-1] < N * N
+        assert any(N == 0 for N, *_ in seen) == (case in ("N = 0",
+                                                          "solve_assignment"))
+
+    def test_signatures(self):
+        # an instance is built for one p; the scaling's fallback search needs
+        # only the cells; an empty search returns an empty index array
+        assert not inspect.isgeneratorfunction(_pruned)
+        assert list(inspect.signature(_pruned).parameters) == [
+            "found", "s", "n", "p"]
+        assert list(inspect.signature(_scaled).parameters) == [
+            "N", "cells", "vals", "p"]
+        cols, level = metrics._bottleneck(0, np.arange(0), np.empty(0), False)
+        assert isinstance(cols, np.ndarray) and not cols.size and level == 0.0
 
 
 class TestTriangleInequality:

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from morsepeak import core, metrics, pairing, stability
 from morsepeak import (DIAGONAL, PAD_ORIGIN, GenParams, MorseSet,
@@ -19,6 +20,28 @@ from oracles import (brute_force_wasserstein, dense_wasserstein,
                      per_entry_cost_matrix)
 
 INF = math.inf
+
+
+@st.composite
+def narrow_range(draw) -> tuple[float, float]:
+    """An interval 1-64 ulps wide at an offset of up to 1e16."""
+    lo = hi = draw(st.floats(-1e16, 1e16))
+    for _ in range(draw(st.integers(1, 64))):
+        hi = math.nextafter(hi, INF)
+    return lo, hi
+
+
+@st.composite
+def gen_params(draw) -> GenParams:
+    """Generator parameters with up to 10 peaks, each range ordinary or
+    near-degenerate."""
+    ordinary = st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)).map(
+        lambda t: (t[0], t[0] + t[1]))
+    lo_k = draw(st.integers(1, 10))
+    return GenParams(peak_count_range=(lo_k, draw(st.integers(lo_k, 10))),
+                     domain=draw(st.one_of(ordinary, narrow_range())),
+                     height_range=draw(st.one_of(ordinary, narrow_range())),
+                     seed=draw(st.integers(0, 2 ** 32)))
 
 
 class TestGenerator:
@@ -75,6 +98,52 @@ class TestGenerator:
         with pytest.raises(ValueError, match=r"^peak_count_range too large: "
                            r"cannot draw 100000000000 peaks \("):
             random_morse_set(GenParams(peak_count_range=(10**11, 10**11)))
+
+    @staticmethod
+    def bounded_draws(monkeypatch, limit: int = 1000) -> None:
+        """Every generator from ``np.random.default_rng`` fails its uniform
+        draw number ``limit``, where a redraw loop without a bound spins."""
+        real = np.random.default_rng
+
+        def make(seed):
+            rng, count = real(seed), itertools.count(1)
+
+            class Bounded:
+                integers = rng.integers
+
+                def uniform(self, *args):
+                    assert next(count) < limit, "unbounded redraws"
+                    return rng.uniform(*args)
+            return Bounded()
+        monkeypatch.setattr(np.random, "default_rng", make)
+
+    @pytest.mark.parametrize("params, name", [
+        # 19 interior positions, 15 doubles strictly inside
+        (GenParams(peak_count_range=(10, 10),
+                   domain=(1000000000000000.0, 1000000000000002.0)), "domain"),
+        (GenParams(domain=(1.0, 1.0000000000000002),
+                   peak_count_range=(1, 1)), "domain"),
+        # a minimum drawn up to the midpoint ties an adjacent maximum, even
+        # where the midpoint lies strictly inside the range
+        (GenParams(height_range=(1e16, 1.0000000000000002e16)),
+         "height_range"),
+        (GenParams(height_range=(1e16, 1.0000000000000004e16)),
+         "height_range")])
+    def test_degenerate_range_named(self, monkeypatch, params, name):
+        self.bounded_draws(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{name} .* too narrow: "):
+            random_morse_set(params)
+
+    @given(gen_params())
+    def test_valid_or_names_the_range(self, params):
+        with pytest.MonkeyPatch.context() as mp:
+            self.bounded_draws(mp)
+            try:
+                ms = random_morse_set(params)
+            except ValueError as exc:
+                assert str(exc).startswith(("domain ", "height_range ")), exc
+            else:
+                assert validate(ms).ok
 
 
 class TestPerturb:
