@@ -6,12 +6,13 @@ samples one by one, the pairing oracle sweeps a densely interpolated sample
 sequence, the diagram oracle is derived from that sweep, the transform
 rows are built one object at a time from it, the assignment/matching
 oracles enumerate permutations, the dense Wasserstein oracle solves the
-full diagonal-bordered matrix unpruned, built entry by entry with
-``sup_dist`` rather than by the library's matrix code, with slacks taken
-from their definitions, a p-norm and a bottleneck search of its own that
-bisects every finite entry, and the dense prune oracle applies the slack
-prune to every entry of that matrix where the library searches a sorted
-window for candidate edges.
+full diagonal-bordered matrix unpruned with the ``linear_sum_assignment``
+that ``scipy.optimize`` exports, not the library's solver, built entry by
+entry with ``sup_dist`` rather than by the library's matrix code, with
+slacks taken from their definitions, a p-norm and a bottleneck search of
+its own that bisects every finite entry, and the dense prune oracle
+applies the slack prune to every entry of that matrix where the library
+searches a sorted window for candidate edges.
 """
 from __future__ import annotations
 
@@ -19,12 +20,12 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from morsepeak.core import (CriticalPoint, EmptyInputError, Kind, MorseSet,
                             colex_lt)
 from morsepeak.metrics import (PAD_ORIGIN, InfeasibleError,
-                               UnmatchableInfinityError, solve_assignment,
-                               sup_dist)
+                               UnmatchableInfinityError, sup_dist)
 from morsepeak.pairing import PDPoint, PTFeature, RPTFeature, RPTSet
 
 
@@ -362,8 +363,6 @@ def dense_bottleneck(raw) -> float:
     ``raw > t``, which costs 0 exactly when such a matching exists.  No
     lower bound and no library search; ``InfeasibleError`` if no matching
     avoids the inf entries."""
-    from scipy.optimize import linear_sum_assignment
-
     def fits(t):
         over = raw > t
         return not over[linear_sum_assignment(over)].any()
@@ -404,8 +403,8 @@ def dense_wasserstein(A, B, p: float) -> float:
     try:
         if math.isinf(p):
             return dense_bottleneck(raw)
-        pairs = solve_assignment(dense_scaled(raw, p)).pairs
+        rows, cols = linear_sum_assignment(dense_scaled(raw, p))
         # Python floats: a total past the largest double is inf, silently
-        return p_norm([raw.item(ij) for ij in pairs], p)
-    except InfeasibleError:
+        return p_norm(raw[rows, cols].tolist(), p)
+    except ValueError:  # also scipy's "cost matrix is infeasible"
         raise UnmatchableInfinityError("no admissible partner") from None

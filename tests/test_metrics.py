@@ -813,15 +813,17 @@ class TestSparseSolve:
                     assert wasserstein(A, A, p, DIAGONAL) == 0.0
         assert caught == []
 
-    # the import, extract and every transform need numpy only; the first
-    # solve loads scipy, and its value is pinned bit for bit
+    # the import, extract and every transform need numpy only; a dense
+    # solve loads scipy's assignment extension alone, and its value is
+    # pinned bit for bit; only a sparse-size solve imports a scipy package
     SCIPY_ON_FIRST_SOLVE = """
 import contextlib, io, sys
+import numpy as np
 scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import morsepeak
-from morsepeak import cli
+from morsepeak import cli, metrics
 assert not scipy(), scipy()[:3]
-csv, out = sys.argv[1:]
+csv, out, rpt = sys.argv[1:]
 for argv in (["extract", csv],
              ["transform", "--kind", "pt", "--svg", out + ".svg", csv],
              ["transform", "--kind", "rpt", "--format", "csv", csv],
@@ -838,17 +840,101 @@ K = morsepeak.random_morse_set(morsepeak.GenParams(seed=0))
 A, B = (morsepeak.persistence_transformation(S)
         for S in (K, morsepeak.perturb(K, 0.1, 1)))
 print(morsepeak.wasserstein(A, B).hex(), "scipy.optimize" in sys.modules)
+with np.load(rpt) as pair:  # 200 peaks a side: solved as a sparse graph
+    morsepeak.wasserstein(*map(morsepeak.RPTSet, (pair["a"], pair["b"])))
+print("scipy.sparse.csgraph" in sys.modules, "scipy.optimize" in sys.modules)
+import scipy.optimize
+print(metrics._lsap() is scipy.optimize.linear_sum_assignment)
 """
 
     def test_import_leaves_sparse_graphs_unloaded(self, tmp_path):
         package_root = str(Path(morsepeak.__file__).resolve().parent.parent)
         golden = Path(__file__).parent / "golden" / "two_segments.csv"
+        rpt = tmp_path / "rpt.npz"
+        pa, pb = TestPrunedMatching.spectrum_pts()
+        np.savez(rpt, a=kinds_of(pa)[1].array, b=kinds_of(pb)[1].array)
         proc = subprocess.run(
             [sys.executable, "-c", self.SCIPY_ON_FIRST_SOLVE, str(golden),
-             str(tmp_path / "out")],
+             str(tmp_path / "out"), str(rpt)],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": package_root})
-        assert proc.stdout == "0x1.050b4190cb566p-4 True\n", proc.stderr
+        assert proc.stdout == ("0x1.050b4190cb566p-4 False\n"
+                               "True False\nTrue\n"), proc.stderr
+
+
+class TestSolverLoader:
+    """``metrics._lsap`` binds scipy's ``linear_sum_assignment`` from its
+    extension module alone, or by the public import when that search
+    misses; every dense solve goes through it, and both give the same."""
+
+    @staticmethod
+    @contextmanager
+    def public_import():
+        """The loader with its extension search made to miss, so that it
+        binds ``scipy.optimize.linear_sum_assignment``, here wrapped to
+        count the solves that reach it."""
+        import scipy.optimize
+        calls = []
+
+        def counted(*args, _real=scipy.optimize.linear_sum_assignment):
+            calls.append(args)
+            return _real(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "EXTENSION_SUFFIXES", [])
+            mp.setattr(scipy.optimize, "linear_sum_assignment", counted)
+            metrics._lsap.cache_clear()
+            try:
+                yield calls
+            finally:
+                metrics._lsap.cache_clear()
+
+    def test_is_the_public_function(self):
+        import scipy.optimize  # as the oracles import it
+        metrics._lsap.cache_clear()
+        assert metrics._lsap() is scipy.optimize.linear_sum_assignment
+
+    def test_public_import_gives_the_same_distances(self):
+        sets = [TestPrunedMatching.spectrum_pts(),
+                TestPrunedMatching.spectrum_pts(40, 5)]
+
+        def distances():
+            return [wasserstein(A, B, p, slack).hex()
+                    for pa, pb in sets
+                    for A, B in zip(kinds_of(pa), kinds_of(pb))
+                    for slack in (DIAGONAL, PAD_ORIGIN) for p in (1, 2, INF)]
+        metrics._lsap.cache_clear()
+        want = distances()
+        with self.public_import() as calls:
+            assert distances() == want
+        assert calls
+
+    def test_public_import_gives_the_same_assignments(self):
+        rng = np.random.default_rng(24)
+        mats = []
+        for k in range(400):
+            n = int(rng.integers(0, 7))
+            # integer costs tie often, uniform ones almost never
+            M = (rng.integers(0, 5, (n, n)).astype(float) if k % 2
+                 else rng.uniform(0, 10, (n, n)))
+            M[rng.uniform(size=(n, n)) < 0.25] = INF
+            mats.append(M)
+
+        def solved():
+            out = []
+            for M in mats:
+                for objective in ("sum", "bottleneck"):
+                    try:
+                        r = solve_assignment(M, objective)
+                    except InfeasibleError:
+                        out.append(InfeasibleError)
+                    else:
+                        out.append((r.pairs, r.cost.hex()))
+            return out
+        metrics._lsap.cache_clear()
+        want = solved()
+        with self.public_import() as calls:
+            assert solved() == want
+        assert calls and InfeasibleError in want
 
 
 class TestInstanceShape:
