@@ -17,21 +17,28 @@ Every instance is ``(N, cells, vals, dropped)``: the N×N matrix with
 once, and inf elsewhere, and the slacks of the points dropped from it.  A
 pruned instance is built for one p (kept edges, each point to its own copy,
 the copy-to-copy transposes of kept edges); the ``pad-origin`` block and a
-:func:`solve_assignment` matrix list every cell.  A pruned one of at least
-``_SPARSE_ROWS`` rows is solved as a sparse graph, so nothing of size N² is
-built (``min_weight_full_bipartite_matching`` for finite p), any other as a
-dense matrix.  At p = inf both go through ``_bottleneck``, one
-lower-bound-first threshold search (also behind :func:`solve_assignment`),
-whose probe is ``linear_sum_assignment`` or ``maximum_bipartite_matching``.
-RPT needs the sparse solve most: its slack is the whole persistence, so
-nearly every point survives the prune.  The split is where the sparse
-solve's fixed cost (0.1-0.2 ms a call) stops losing to the dense one.  The
-sparse solvers see only canonical graphs (a duplicate cell gives a wrong
-matching or aborts the process), no exact 0 (it would be dropped), and a
-graph one column wider than tall (see ``_graph``).  scipy is loaded only
-when a solve needs it: a dense solve loads the extension module of
-``linear_sum_assignment`` alone (see ``_lsap``), a sparse one imports
-``scipy.sparse``.
+:func:`solve_assignment` matrix list every cell.  A pruned one of fewer
+than ``_SPARSE_ROWS`` rows is solved as one dense matrix.  A larger one is
+solved one connected part of its rows and columns at a time (``_split``):
+a part of one row, or of two rows and four cells, in closed form; parts
+of fewer than ``_SPARSE_ROWS`` rows packed into dense blocks of fewer
+than ``_SPARSE_ROWS`` rows; a larger part alone as a sparse graph, so
+nothing of size N² is built (``min_weight_full_bipartite_matching`` for
+finite p).  The distance is the max (p = inf) or the p-norm of the parts'
+matched costs together.  At p = inf every solve goes through
+``_bottleneck``, one lower-bound-first threshold search (also behind
+:func:`solve_assignment`), whose probe is ``linear_sum_assignment`` or
+``maximum_bipartite_matching``.  RPT has the largest pruned instances: its
+slack is the whole persistence, so nearly every point survives the prune.
+At 200 peaks a side its 330 rows fall into about 110 parts, 100 of them a
+lone kept edge and none of 110 rows or more; at 3200 peaks they are one
+part.  ``_SPARSE_ROWS`` is where the sparse solve's fixed cost (0.1-0.2 ms
+a call) stops losing to the dense one.  The sparse solvers see only
+canonical graphs (a duplicate cell gives a wrong matching or aborts the
+process), no exact 0 (it would be dropped), and a graph one column wider
+than tall (see ``_graph``).  scipy is loaded only when a solve needs it: a
+dense solve loads the extension module of ``linear_sum_assignment`` alone
+(see ``_lsap``), a sparse one imports ``scipy.sparse``.
 
 No n×m cost block is built for it.  A kept edge has
 ``|x_i - x_j| <= c <= 2^(1/p) max(s_i, s_j) <= 2 max(s_i, s_j)`` on
@@ -237,8 +244,8 @@ def _sup(us, vs) -> np.ndarray:
     return c
 
 
-# pruned instances of at least this many rows are solved as sparse graphs,
-# smaller ones as dense matrices (see _matched)
+# connected parts of pruned instances of at least this many rows are solved
+# as sparse graphs, smaller ones in dense matrices (see _split)
 _SPARSE_ROWS = 110
 
 # the window radius per unit of slack: 2 bounds 2^(1/p) at every p >= 1, and
@@ -310,6 +317,95 @@ def _pruned(found: tuple, s: np.ndarray, n: int, p: float):
     order = cells.argsort()
     return (N, cells[order], np.concatenate(
         (c[keep], own[finite], np.zeros(ik.size)))[order], s[~alive].tolist())
+
+
+def _parts(N: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The least node of the connected part of every node of the bipartite
+    graph with an edge from row ``rows[k]`` to column ``cols[k]`` of an N×N
+    instance, rows numbered 0..N-1 and columns N..2N-1.  Each round hooks
+    every root onto the least root that an edge joins it to, if that is
+    smaller, then jumps every node to its root: 2-3 rounds on the 200-peak
+    RPT, 6 at 3200 and at 10,000 peaks.  Hooking onto any smaller root
+    instead took 2 s at 10,000 peaks."""
+    label = np.arange(2 * N)
+    cols = cols + N
+    a, b = rows, cols  # the roots of the ends of the edges still apart
+    while a.size:
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:  # label[x] <= x, so the jumps end at the roots
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+        # an edge within one tree stays so: only the others are kept
+        apart = (label[rows] != label[cols]).nonzero()[0]
+        rows, cols = rows[apart], cols[apart]
+        a, b = label[rows], label[cols]
+    return label
+
+
+def _split(N: int, cells: np.ndarray, vals: np.ndarray, p: float):
+    """The pruned N×N instance with ``vals`` at the flat ``cells``, cut into
+    the connected parts of its rows and columns: the matched costs at p of
+    its parts of one row and of two rows and four cells, and the instances
+    ``(N, cells, vals)`` of the rest, the parts of fewer than
+    ``_SPARSE_ROWS`` rows packed side by side into blocks of fewer than
+    ``_SPARSE_ROWS`` rows, each larger part alone.  If one large part is
+    all that is left to solve, the instance is solved whole.  A part with
+    more rows than columns, or fewer, has no perfect matching."""
+    rows, cols = np.divmod(cells, N)
+    label = _parts(N, rows, cols)
+    size = np.bincount(label[:N], minlength=2 * N)  # the rows of each part
+    if (size != np.bincount(label[N:], minlength=2 * N)).any():
+        raise InfeasibleError("a part has more rows than columns or fewer")
+    part = label[rows]
+    count = np.bincount(part, minlength=2 * N)  # the cells of each part
+    closed = (size < _SPARSE_ROWS) & ((size == 1) | (size == 2) & (count == 4))
+    roots = ((size > 0) & ~closed).nonzero()[0]
+    group = np.full(2 * N, -1)
+    fill = blocks = 0
+    for root, k in zip(roots.tolist(), size[roots].tolist()):
+        if not blocks or fill + k >= _SPARSE_ROWS:  # a large part: alone
+            blocks, fill = blocks + 1, 0
+        group[root] = blocks - 1
+        fill += k
+    if blocks == 1 and fill >= _SPARSE_ROWS:
+        # cutting the few other rows off would cost more than they take in
+        # the sparse solve: 20 ms at 10,000 RPT peaks
+        return [], [(N, cells, vals)]
+    shut = closed[part]
+    one = shut & (size[part] == 1)
+    four, solve = (shut & ~one).nonzero()[0], (~shut).nonzero()[0]
+    matched = vals[one].tolist()
+    if four.size:
+        # a part of two rows r0 < r1 and four cells lists them in the order
+        # (r0, c0), (r0, c1), (r1, c0), (r1, c1), and matches the first and
+        # the last or the middle two, the better; for a lone kept edge
+        # (i, j) that is the edge and the 0 of the copies, by the prune rule
+        q = vals[four[part[four].argsort(kind="stable")]].reshape(-1, 4)
+        ends, mid = q[:, ::3], q[:, 1:3]
+        if math.isinf(p):
+            matched += np.minimum(ends.max(axis=1), mid.max(axis=1)).tolist()
+        else:
+            top = q.max(axis=1)
+            top[top == 0.0] = 1.0
+            q = (q / top[:, None]) ** p
+            better = q[:, 0] + q[:, 3] <= q[:, 1] + q[:, 2]
+            matched += np.where(better[:, None], ends, mid).ravel().tolist()
+    # each node's rank among the nodes of its block, rows first; a block's
+    # cells keep their order, so they ascend
+    at = group[label]
+    order = at.argsort(kind="stable")
+    ranked = at[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(2 * N) - ranked.searchsorted(ranked)
+    size = np.bincount(at[:N][at[:N] >= 0], minlength=blocks)
+    g = at[rows[solve]]
+    local = (rank[rows[solve]] - 1) * size[g] + rank[N + cols[solve]]
+    order = g.argsort(kind="stable")
+    cut = np.bincount(g, minlength=blocks).cumsum()[:-1]
+    return matched, list(zip(size.tolist(), np.split(local[order], cut),
+                             np.split(vals[solve[order]], cut)))
 
 
 def _dense(N: int, cells: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -386,17 +482,25 @@ def _bottleneck(N: int, cells, vals: np.ndarray, sparse: bool):
     return cols, float(level)
 
 
+def _sparse(N: int, cells) -> bool:
+    """Whether the N×N instance with finite ``cells`` is solved as a sparse
+    graph: a part of a pruned instance is if it has at least
+    ``_SPARSE_ROWS`` rows; a complete block (``pad-origin``) never is."""
+    return N >= _SPARSE_ROWS and len(cells) < N * N
+
+
 def _scaled(N: int, cells, vals: np.ndarray, p: float) -> np.ndarray:
     """``(vals / scale) ** p`` for the sum solve at finite p, ``vals`` at
     the flat ``cells`` of an N×N instance: ``scale`` is the largest finite
     value, or the bottleneck value if the least positive one would scale
-    to 0 (by the sparse search).  Infinities stay inf."""
+    to 0 (by the search the instance's solve would run, dense or sparse).
+    Infinities stay inf."""
     top = vals.max(where=np.isfinite(vals), initial=0.0) or 1.0
     least = vals.min(where=vals > 0, initial=math.inf)
     # if the least positive cost scales to 0, such costs all tie: scale by
     # the bottleneck value (the least cost if that is 0)
     scale = top if (least / top) ** p > 0 else max(
-        _bottleneck(N, cells, vals, True)[1], least)
+        _bottleneck(N, cells, vals, _sparse(N, cells))[1], least)
     # a cost that overflows here exceeds the bottleneck by more than n^(1/p),
     # so no optimal matching uses it
     with np.errstate(over="ignore"):
@@ -478,11 +582,16 @@ def _distances(A: TransformSet, B: TransformSet, ps: Sequence[float],
     try:
         for p in ps:
             N, cells, vals, dropped = whole or _pruned(found, s, n, p)
-            sparse = slack == DIAGONAL and N >= _SPARSE_ROWS
-            if math.isinf(p):
-                matched = [_bottleneck(N, cells, vals, sparse)[1]]
+            if whole or N < _SPARSE_ROWS:  # one dense block already
+                matched, parts = [], [(N, cells, vals)]
             else:
-                matched = _matched(N, cells, vals, p, sparse)
+                matched, parts = _split(N, cells, vals, p)
+            for N, cells, vals in parts:
+                sparse = _sparse(N, cells)
+                if math.isinf(p):
+                    matched.append(_bottleneck(N, cells, vals, sparse)[1])
+                else:
+                    matched += _matched(N, cells, vals, p, sparse)
             out.append(_aggregate(dropped + matched, p))
     except InfeasibleError:
         raise UnmatchableInfinityError(

@@ -12,7 +12,9 @@ entry with ``sup_dist`` rather than by the library's matrix code, with
 slacks taken from their definitions, a p-norm and a bottleneck search of
 its own that bisects every finite entry, and the dense prune oracle
 applies the slack prune to every entry of that matrix where the library
-searches a sorted window for candidate edges.
+searches a sorted window for candidate edges, and the connected parts of
+an instance come from a breadth-first search over its cells, not from the
+library's root hooking.
 """
 from __future__ import annotations
 
@@ -408,3 +410,29 @@ def dense_wasserstein(A, B, p: float) -> float:
         return p_norm(raw[rows, cols].tolist(), p)
     except ValueError:  # also scipy's "cost matrix is infeasible"
         raise UnmatchableInfinityError("no admissible partner") from None
+
+
+def connected_parts(N: int, cells) -> list[tuple[list[int], list[int]]]:
+    """The connected parts of the bipartite graph with an edge from row r to
+    column c for each flat cell ``r * N + c`` of an N×N instance, each as
+    its rows and columns, ascending, by a breadth-first search from every
+    node not yet reached, rows first; the parts in order of their least
+    node, rows numbered before columns."""
+    adjacent = [[] for _ in range(2 * N)]
+    for cell in cells.tolist():
+        r, c = divmod(cell, N)
+        adjacent[r].append(N + c)
+        adjacent[N + c].append(r)
+    seen, parts = [False] * (2 * N), []
+    for start in range(2 * N):
+        if seen[start]:
+            continue
+        seen[start], queue = True, [start]
+        for node in queue:
+            for other in adjacent[node]:
+                if not seen[other]:
+                    seen[other] = True
+                    queue.append(other)
+        parts.append((sorted(x for x in queue if x < N),
+                      sorted(x - N for x in queue if x >= N)))
+    return parts

@@ -445,9 +445,10 @@ class TestDistance:
 
     def test_pd_bottleneck_at_scale(self, capsys, monkeypatch, tmp_path):
         # Cohen-Steiner, Edelsbrunner & Harer through the CSV reader, the
-        # JSON writer and reader and the sparse bottleneck search: a random
-        # walk f and g = f + noise give |max f - max g| <= d <= ||f - g||_inf,
-        # attained at 10k samples, so 1e-11 covers the 12 printed digits
+        # JSON writer and reader and the bottleneck search of each connected
+        # part, sparse for the large ones: a random walk f and g = f + noise
+        # give |max f - max g| <= d <= ||f - g||_inf, attained at 10k
+        # samples, so 1e-11 covers the 12 printed digits
         n = 100_000 if os.environ.get("MORSEPEAK_HYPOTHESIS") == "thorough" \
             else 10_000
         rng = np.random.default_rng(0)
@@ -456,7 +457,7 @@ class TestDistance:
         searches = []
         real = morsepeak.metrics._bottleneck
         monkeypatch.setattr(morsepeak.metrics, "_bottleneck", lambda *a: (
-            searches.append(a[3]), real(*a))[1])
+            searches.append((a[0], a[3])), real(*a))[1])
         for name, walk in walks.items():
             csv = tmp_path / f"{name}.csv"
             np.savetxt(csv, np.column_stack((np.arange(n), walk)),
@@ -468,7 +469,12 @@ class TestDistance:
                            str(tmp_path / "g.json"), "--kind", "pd",
                            "--p", "inf")
         f, g = walks.values()
-        assert code == 0 and searches == [True]
+        # each search took the path its size gives, and the large parts
+        # keep the sparse search covered at scale
+        big = morsepeak.metrics._SPARSE_ROWS
+        assert code == 0 and searches
+        assert all(sparse == (N >= big) for N, sparse in searches), searches
+        assert any(sparse for _, sparse in searches), searches
         d = float(out)
         assert abs(f.max() - g.max()) * (1 - 1e-11) <= d
         assert d <= np.abs(f - g).max() * (1 + 1e-11)

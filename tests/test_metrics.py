@@ -28,8 +28,8 @@ from morsepeak import metrics
 from morsepeak.metrics import (_candidates, _dense, _points, _pruned, _scaled,
                                _sup, InfeasibleError)
 from oracles import (brute_force_assignment, brute_force_wasserstein,
-                     dense_bottleneck, dense_pruned_matrix, dense_scaled,
-                     dense_wasserstein, exhaustive_matching,
+                     connected_parts, dense_bottleneck, dense_pruned_matrix,
+                     dense_scaled, dense_wasserstein, exhaustive_matching,
                      morse_distance_direct, per_entry_cost_matrix,
                      points_and_slacks, zero_padded)
 
@@ -682,7 +682,8 @@ class TestPrunedMatching:
                 assert wasserstein(A, B, p, DIAGONAL) == \
                     pytest.approx(dense_wasserstein(A, B, p), rel=1e-9)
         # PT W2 is solved as dense matrices of fewer cells than a quarter
-        # of the unpruned bordered matrix's
+        # of the unpruned bordered matrix's: its pruned instance has fewer
+        # than _SPARSE_ROWS rows, so it is one dense block already
         cells = []
         dense, graph = metrics._dense, metrics._graph
         monkeypatch.setattr(metrics, "_dense", lambda N, c, vals: (
@@ -691,24 +692,32 @@ class TestPrunedMatching:
         n = len(pa.features) + len(pb.features)
         assert cells and sum(cells) < n * n / 4
         # on either path: the cells of each dense matrix and the edges of
-        # each sparse graph solved, for every kind, RPT on the sparse path
-        solved = []
+        # each sparse graph solved, for every kind; PT and RPT are solved
+        # in dense blocks alone at this size, RPT one block per few
+        # connected parts of its pruned instance, while a PD part of 197
+        # rows goes sparse
+        solved, graphs = [], []
         monkeypatch.setattr(metrics, "_dense", lambda N, cells, vals: (
             solved.append(N * N), dense(N, cells, vals))[1])
         monkeypatch.setattr(metrics, "_graph", lambda N, cells, data: (
-            solved.append(cells.size), graph(N, cells, data))[1])
+            graphs.append(cells.size), graph(N, cells, data))[1])
         for A, B in zip(kinds_of(pa), kinds_of(pb)):
             for p in (2, INF):
                 solved.clear()
+                graphs.clear()
                 wasserstein(A, B, p, DIAGONAL)
-                assert solved and sum(solved) < n * n / 4, (A, p)
+                assert solved and sum(solved + graphs) < n * n / 4, (A, p)
+                assert max(solved) < metrics._SPARSE_ROWS ** 2, (A, p)
+                assert bool(graphs) == isinstance(A, PDSet), (A, p)
 
     @pytest.mark.parametrize("kind, p", [(0, 2), (0, INF), (1, 2), (1, INF)],
                              ids=["2", "inf", "rpt-2", "rpt-inf"])
     def test_memory_below_one_block(self, kind, p):
         # candidate edges replace the n×m sup block: the peak of one call
         # stays below that block alone; nearly every RPT point survives the
-        # prune, and the sparse solve keeps it below the block too
+        # prune, and the solve of each connected part, in dense blocks of
+        # fewer than _SPARSE_ROWS rows or sparse, keeps it below the block
+        # too
         pa, pb = (kinds_of(q)[kind] for q in self.spectrum_pts(800))
         block = 8 * len(pa.features) * len(pb.features)
         wasserstein(pa, pb, p, DIAGONAL)
@@ -815,7 +824,9 @@ class TestSparseSolve:
 
     # the import, extract and every transform need numpy only; a dense
     # solve loads scipy's assignment extension alone, and its value is
-    # pinned bit for bit; only a sparse-size solve imports a scipy package
+    # pinned bit for bit; the 200-peak RPT splits into dense blocks, and
+    # only a connected part of at least _SPARSE_ROWS rows imports a scipy
+    # package
     SCIPY_ON_FIRST_SOLVE = """
 import contextlib, io, sys
 import numpy as np
@@ -823,7 +834,7 @@ scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import morsepeak
 from morsepeak import cli, metrics
 assert not scipy(), scipy()[:3]
-csv, out, rpt = sys.argv[1:]
+csv, out, rpt, chain = sys.argv[1:]
 for argv in (["extract", csv],
              ["transform", "--kind", "pt", "--svg", out + ".svg", csv],
              ["transform", "--kind", "rpt", "--format", "csv", csv],
@@ -840,9 +851,11 @@ K = morsepeak.random_morse_set(morsepeak.GenParams(seed=0))
 A, B = (morsepeak.persistence_transformation(S)
         for S in (K, morsepeak.perturb(K, 0.1, 1)))
 print(morsepeak.wasserstein(A, B).hex(), "scipy.optimize" in sys.modules)
-with np.load(rpt) as pair:  # 200 peaks a side: solved as a sparse graph
-    morsepeak.wasserstein(*map(morsepeak.RPTSet, (pair["a"], pair["b"])))
-print("scipy.sparse.csgraph" in sys.modules, "scipy.optimize" in sys.modules)
+for path in (rpt, chain):  # 200 peaks a side, then a part of 110 rows
+    with np.load(path) as pair:
+        morsepeak.wasserstein(*map(morsepeak.RPTSet, (pair["a"], pair["b"])))
+    print("scipy.sparse.csgraph" in sys.modules,
+          "scipy.optimize" in sys.modules)
 import scipy.optimize
 print(metrics._lsap() is scipy.optimize.linear_sum_assignment)
 """
@@ -850,16 +863,231 @@ print(metrics._lsap() is scipy.optimize.linear_sum_assignment)
     def test_import_leaves_sparse_graphs_unloaded(self, tmp_path):
         package_root = str(Path(morsepeak.__file__).resolve().parent.parent)
         golden = Path(__file__).parent / "golden" / "two_segments.csv"
-        rpt = tmp_path / "rpt.npz"
+        rpt, long = tmp_path / "rpt.npz", tmp_path / "chain.npz"
         pa, pb = TestPrunedMatching.spectrum_pts()
         np.savez(rpt, a=kinds_of(pa)[1].array, b=kinds_of(pb)[1].array)
+        a, b = chain(metrics._SPARSE_ROWS)
+        np.savez(long, a=a.array, b=b.array)
         proc = subprocess.run(
             [sys.executable, "-c", self.SCIPY_ON_FIRST_SOLVE, str(golden),
-             str(tmp_path / "out"), str(rpt)],
+             str(tmp_path / "out"), str(rpt), str(long)],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": package_root})
         assert proc.stdout == ("0x1.050b4190cb566p-4 False\n"
-                               "True False\nTrue\n"), proc.stderr
+                               "False False\nTrue False\nTrue\n"), proc.stderr
+
+    # one diagram_matching op of the benchmark (PT W2, PT W-inf and RPT W2
+    # between two 200-peak signals of its pool), over every pair of the
+    # pool, and the TINY pair at p = 60, whose least cost underflows, so
+    # that _scaled scales by a dense bottleneck search of the 6-row
+    # instance: no scipy.sparse module is loaded, and the values are pinned
+    BENCHMARK_OP = """
+import math, sys
+import numpy as np
+from perfbench.inputs import spectrum_pool
+from morsepeak import (RPTSet, extract_critical_points, metrics,
+                       persistence_transformation,
+                       reduced_persistence_transformation, wasserstein)
+sets = [extract_critical_points(s)[0] for s in spectrum_pool(301, 10, 200, 24)]
+pt = [persistence_transformation(s) for s in sets]
+rpt = [reduced_persistence_transformation(s) for s in sets]
+ops = [(wasserstein(pt[i], pt[j], 2.0), wasserstein(pt[i], pt[j], math.inf),
+        wasserstein(rpt[i], rpt[j], 2.0))
+       for i in range(10) for j in range(i + 1, 10)]
+print(len(ops), ops[0][0].hex(), ops[0][2].hex())
+A, B = (RPTSet(np.array(x)) for x in eval(sys.argv[1]))
+P, s = metrics._points(A, B)
+N, cells, vals, _ = metrics._pruned(metrics._candidates(P, s, 3), s, 3, 60.0)
+metrics._scaled(N, cells, vals, 60.0)
+print(N, wasserstein(A, B, 60.0).hex())
+print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+"""
+
+    def test_benchmark_op_leaves_sparse_unloaded(self):
+        package_root = Path(morsepeak.__file__).resolve().parent.parent
+        repo_root = Path(__file__).resolve().parent.parent  # for perfbench
+        tiny = repr([TestScaleSafety.TINY_A.array.tolist(),
+                     TestScaleSafety.TINY_B.array.tolist()])
+        proc = subprocess.run(
+            [sys.executable, "-c", self.BENCHMARK_OP, tiny],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                (str(package_root), str(repo_root)))})
+        assert proc.stdout.splitlines() == [
+            "45 0x1.e453e11fa1aa1p+3 0x1.37c7aa2f3a88ap+4",
+            "6 0x1.0f8df566626dap-20", "[]"], proc.stderr
+
+
+def chain(rows: int, x0: float = 0.0) -> tuple[RPTSet, RPTSet]:
+    """Two RPT sets whose pruned instance is one part of ``rows`` rows: the
+    points alternate between the sides one apart along x from x0, each of
+    slack 1, so each meets only its neighbours, at cost 1."""
+    a, b = (RPTSet(np.array([[x0 + x, 1.0] for x in range(k, rows, 2)]))
+            for k in (0, 1))
+    return a, b
+
+
+def joined(*sets: RPTSet) -> RPTSet:
+    return RPTSet(np.concatenate([s.array for s in sets]))
+
+
+# split sizes that send the parts of grid_pts instances down every route
+SPLIT_ROWS = (3, 5, 8)
+
+
+def assert_split_exact(A, B):
+    """At every p of GRID_P and every split size of SPLIT_ROWS, the split of
+    the pruned instance of A and B is exact: its parts are the connected
+    parts of the breadth-first oracle; each instance it returns is whole
+    parts, taken in order of their least row, with fewer rows than the
+    split size or one part alone, or else the pruned instance itself; those
+    instances mapped back, plus the cells of the parts of one row and of
+    two rows and four cells that it solves itself, are exactly the pruned
+    cells and values, with one matched cost per row of those parts (one per
+    part at p = inf); and the distance through it equals the dense
+    oracle's, or both find no finite matching."""
+    P, s = _points(A, B)
+    n = len(A.array)
+    found = _candidates(P, s, n)
+    for p in GRID_P:
+        N, cells, vals, _ = _pruned(found, s, n, p)
+        if not N:
+            continue
+        rows_of = cells // N
+        parts = connected_parts(N, cells)
+        least = np.empty(2 * N, dtype=int)
+        for rows, cols in parts:
+            nodes = rows + [N + c for c in cols]
+            least[nodes] = min(nodes)
+        assert np.array_equal(metrics._parts(N, rows_of, cells % N), least)
+        want = outcome(dense_wasserstein, A, B, p)
+        for split in SPLIT_ROWS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(metrics, "_SPARSE_ROWS", split)
+                got = outcome(wasserstein, A, B, p, DIAGONAL)
+                if any(len(r) != len(c) for r, c in parts):
+                    with pytest.raises(InfeasibleError):
+                        metrics._split(N, cells, vals, p)
+                    assert got is want is UnmatchableInfinityError
+                    continue
+                matched, blocks = metrics._split(N, cells, vals, p)
+            if isinstance(want, float):
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+            else:
+                assert got is want
+            if len(blocks) == 1 and blocks[0][0] == N >= split:
+                assert matched == [] and np.array_equal(blocks[0][1], cells)
+                continue
+            closed = [r for r, _ in parts if r and len(r) < split and (
+                len(r) == 1 or len(r) == 2 and np.isin(rows_of, r).sum() == 4)]
+            assert len(matched) == (len(closed) if math.isinf(p)
+                                    else sum(map(len, closed)))
+            solved = iter((r, c) for r, c in parts if r and r not in closed)
+            mapped, kept = [], []
+            for k, local, v in blocks:
+                rows, cols, taken = [], [], 0
+                while len(rows) < k:
+                    r, c = next(solved)
+                    rows, cols, taken = rows + r, cols + c, taken + 1
+                assert len(rows) == k and (k < split or taken == 1)
+                assert (np.diff(local) > 0).all()
+                R, C = np.sort(rows), np.sort(cols)
+                mapped.append(R[local // k] * N + C[local % k])
+                kept.append(v)
+            assert next(solved, None) is None
+            shut = np.isin(rows_of, sum(closed, []))
+            back = np.concatenate(mapped + [cells[shut]])
+            order = back.argsort()
+            assert np.array_equal(back[order], cells)
+            assert np.array_equal(np.concatenate(kept + [vals[shut]])[order],
+                                  vals)
+
+
+class TestSplit:
+    """A pruned instance of at least ``_SPARSE_ROWS`` rows is solved one
+    connected part at a time: parts of one row and of two rows and four
+    cells in closed form, smaller ones packed into dense blocks, larger
+    ones sparse."""
+
+    @given(grid_pts(), grid_pts())
+    def test_parts_match_the_pruned_instance(self, pa, pb):
+        for A, B in zip(kinds_of(pa), kinds_of(pb)):
+            assert_split_exact(A, B)
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_edge_cases(self, case):
+        A, B = EDGE_CASES[case]
+        assert_split_exact(A, B)
+        assert_split_exact(B, A)
+
+    def test_lone_edge_at_a_prune_tie(self, monkeypatch):
+        # c = 3 = s_i + s_j: each edge is kept at p = 1 only, and both
+        # matchings of its part cost 3
+        A = RPTSet(np.array([[0.0, 1.0], [100.0, 1.0]]))
+        B = RPTSet(np.array([[3.0, 2.0], [103.0, 2.0]]))
+        monkeypatch.setattr(metrics, "_SPARSE_ROWS", 3)
+        P, s = _points(A, B)
+        N, cells, vals, dropped = _pruned(_candidates(P, s, 2), s, 2, 1.0)
+        matched, blocks = metrics._split(N, cells, vals, 1.0)
+        assert (N, dropped, blocks) == (4, [], [])
+        assert sorted(matched) in ([0.0, 0.0, 3.0, 3.0], [0.0, 1.0, 2.0, 3.0],
+                                   [1.0, 1.0, 2.0, 2.0])
+        assert sum(matched) == 6.0
+        assert wasserstein(A, B, 1, DIAGONAL) == 6.0 == \
+            dense_wasserstein(A, B, 1)
+
+    @pytest.mark.parametrize("split", [3, metrics._SPARSE_ROWS])
+    def test_essential_without_partner_next_to_solvable_parts(self, split):
+        # a part of 120 rows, one of 6, and an essential point of A with
+        # no kept edge: a row of its own and no column
+        (a, b), (c, d) = chain(120, 10.0), chain(6, 500.0)
+        A = joined(RPTSet(np.array([[0.0, INF]])), a, c)
+        B = joined(b, d)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_SPARSE_ROWS", split)
+            for p in (1, 2, INF):
+                for X, Y in ((A, B), (B, A)):
+                    with pytest.raises(UnmatchableInfinityError,
+                                       match=re.escape(UNMATCHABLE)):
+                        wasserstein(X, Y, p, DIAGONAL)
+
+    @pytest.mark.parametrize("rows", [metrics._SPARSE_ROWS - 1,
+                                      metrics._SPARSE_ROWS])
+    def test_a_part_of_split_rows_goes_sparse(self, monkeypatch, rows):
+        # one chain of the given rows and one of three rows far from it
+        (a, b), (c, d) = chain(rows), chain(3, 1000.0)
+        A, B = joined(a, c), joined(b, d)
+        seen = []
+        for name in ("_matched", "_bottleneck"):
+            def spy(N, cells, vals, *rest, _real=getattr(metrics, name)):
+                seen.append((N, rest[-1]))
+                return _real(N, cells, vals, *rest)
+            monkeypatch.setattr(metrics, name, spy)
+        for p in (2, INF):
+            seen.clear()
+            assert wasserstein(A, B, p, DIAGONAL) == \
+                pytest.approx(dense_wasserstein(A, B, p), rel=1e-9)
+            assert sorted(seen) == sorted(
+                [(3, False), (rows, rows >= metrics._SPARSE_ROWS)]), p
+
+    def test_sparse_everywhere_reaches_both_solvers(self, monkeypatch):
+        calls = []
+        for name in ("maximum_bipartite_matching",
+                     "min_weight_full_bipartite_matching"):
+            real = getattr(csgraph, name)
+            monkeypatch.setattr(csgraph, name, lambda *a, _real=real,
+                                _name=name, **k: (calls.append(_name),
+                                                  _real(*a, **k))[1])
+        pa, pb = TestPrunedMatching.spectrum_pts()
+        A, B = kinds_of(pa)[1], kinds_of(pb)[1]
+        # by default the 200-peak RPT splits into dense blocks alone
+        want = [wasserstein(A, B, p, DIAGONAL) for p in (2, INF)]
+        assert calls == []
+        with sparse_everywhere():
+            assert [wasserstein(A, B, p, DIAGONAL) for p in (2, INF)] == \
+                pytest.approx(want, rel=1e-9)
+        assert set(calls) == {"maximum_bipartite_matching",
+                              "min_weight_full_bipartite_matching"}
 
 
 class TestSolverLoader:
