@@ -370,7 +370,7 @@ def _split(N: int, cells: np.ndarray, vals: np.ndarray, p: float):
     group = np.full(2 * N, -1)
     fill = blocks = 0
     for root, k in zip(roots.tolist(), size[roots].tolist()):
-        if not blocks or fill + k >= _SPARSE_ROWS:  # a large part: alone
+        if not blocks or fill + k >= _SPARSE_ROWS:  # a large part fills one
             blocks, fill = blocks + 1, 0
         group[root] = blocks - 1
         fill += k
