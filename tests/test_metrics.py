@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import itertools
 import math
@@ -20,13 +21,14 @@ from morsepeak import (DIAGONAL, PAD_ORIGIN, ConstantSegmentError, GenParams,
                        KindMismatchError, MorseSet, PDSet, PTFeature, PTSet,
                        RPTFeature, RPTSet, SampledSeries,
                        UnmatchableInfinityError, extract_critical_points,
-                       join_pd, join_pt, morse_distance,
+                       join_pd, join_pt, join_rpt, morse_distance,
                        perturb, persistence_transformation, random_morse_set,
-                       reduced_persistence_transformation, solve_assignment,
-                       sup_dist, to_persistence_diagram, wasserstein)
+                       reduced_persistence_transformation, run_trials,
+                       solve_assignment, sup_dist, to_persistence_diagram,
+                       wasserstein)
 from morsepeak import metrics
-from morsepeak.metrics import (_candidates, _dense, _points, _pruned, _scaled,
-                               _sup, InfeasibleError)
+from morsepeak.metrics import (_candidates, _dense, _index, _points, _pruned,
+                               _scaled, _sup, InfeasibleError)
 from oracles import (brute_force_assignment, brute_force_wasserstein,
                      connected_parts, dense_bottleneck, dense_pruned_matrix,
                      dense_scaled, dense_wasserstein, exhaustive_matching,
@@ -222,7 +224,7 @@ class TestCostMatrix:
             got = _sup(qa[:, :, None], qb[:, None])
         else:  # the sup_dist block's entries at the candidates
             n = len(pa)
-            i, j, got, *_ = _candidates(*_points(A, B), n)
+            i, j, got, *_ = _candidates(_index(A), _index(B))
             assert ((i < n) & (j >= n)).all()
             want = want[i, j - n]
         assert np.array_equal(got, want)
@@ -562,7 +564,7 @@ def assert_same_instance(A, B):
     values scatter into the oracle's scaled matrix."""
     (pa, sa), (pb, sb) = points_and_slacks(A), points_and_slacks(B)
     P, s = _points(A, B)
-    found = _candidates(P, s, len(pa))
+    found = _candidates(_index(A), _index(B))
     for p in GRID_P:
         N, cells, vals, dropped = _pruned(found, s, len(pa), p)
         want, want_dropped = dense_pruned_matrix(pa, sa, pb, sb, p)
@@ -798,7 +800,7 @@ class TestSparseSolve:
         pa, pb = TestPrunedMatching.spectrum_pts()
         for A, B in zip(kinds_of(pa), kinds_of(pb)):
             P, s = _points(A, B)
-            i, j, *_ = _candidates(P, s, len(A.array))
+            i, j, *_ = _candidates(_index(A), _index(B))
             assert np.unique(i * len(P) + j).size == i.size
             for p in (1, 2, INF):
                 want = wasserstein(A, B, p, DIAGONAL)
@@ -897,7 +899,8 @@ ops = [(wasserstein(pt[i], pt[j], 2.0), wasserstein(pt[i], pt[j], math.inf),
 print(len(ops), ops[0][0].hex(), ops[0][2].hex())
 A, B = (RPTSet(np.array(x)) for x in eval(sys.argv[1]))
 P, s = metrics._points(A, B)
-N, cells, vals, _ = metrics._pruned(metrics._candidates(P, s, 3), s, 3, 60.0)
+found = metrics._candidates(metrics._index(A), metrics._index(B))
+N, cells, vals, _ = metrics._pruned(found, s, 3, 60.0)
 metrics._scaled(N, cells, vals, 60.0)
 print(N, wasserstein(A, B, 60.0).hex())
 print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
@@ -948,7 +951,7 @@ def assert_split_exact(A, B):
     oracle's, or both find no finite matching."""
     P, s = _points(A, B)
     n = len(A.array)
-    found = _candidates(P, s, n)
+    found = _candidates(_index(A), _index(B))
     for p in GRID_P:
         N, cells, vals, _ = _pruned(found, s, n, p)
         if not N:
@@ -1027,7 +1030,8 @@ class TestSplit:
         B = RPTSet(np.array([[3.0, 2.0], [103.0, 2.0]]))
         monkeypatch.setattr(metrics, "_SPARSE_ROWS", 3)
         P, s = _points(A, B)
-        N, cells, vals, dropped = _pruned(_candidates(P, s, 2), s, 2, 1.0)
+        found = _candidates(_index(A), _index(B))
+        N, cells, vals, dropped = _pruned(found, s, 2, 1.0)
         matched, blocks = metrics._split(N, cells, vals, 1.0)
         assert (N, dropped, blocks) == (4, [], [])
         assert sorted(matched) in ([0.0, 0.0, 3.0, 3.0], [0.0, 1.0, 2.0, 3.0],
@@ -1088,6 +1092,114 @@ class TestSplit:
                 pytest.approx(want, rel=1e-9)
         assert set(calls) == {"maximum_bipartite_matching",
                               "min_weight_full_bipartite_matching"}
+
+
+    def test_part_without_perfect_matching_is_infeasible(self, monkeypatch):
+        # essential points meet only each other, and at an infinite cost
+        # where their x are more than the largest double apart: 109 of A's
+        # reach only B's point at 0, which A's point at 0 joins to 109 of
+        # B's.  That part has 110 rows and 110 columns, and so has its
+        # mirror of the copies, but neither has a perfect matching: both go
+        # to the sparse solve, which finds no full matching
+        far = [[-1.7e308, INF]] * 109
+        A = RPTSet(np.array(far + [[0.0, INF]]))
+        B = RPTSet(np.array([[0.0, INF]] + [[1.7e308, INF]] * 109))
+        _, s = _points(A, B)
+        N, cells, vals, dropped = _pruned(_candidates(_index(A), _index(B)),
+                                          s, 110, 2.0)
+        matched, blocks = metrics._split(N, cells, vals, 2.0)
+        assert (N, dropped, matched) == (220, [], [])
+        assert [k for k, *_ in blocks] == [110, 110]
+        for block in blocks:
+            with pytest.raises(InfeasibleError,
+                               match="no full matching exists"):
+                metrics._matched(*block, 2.0, True)
+        raised = []
+        real = csgraph.min_weight_full_bipartite_matching
+
+        def spy(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except ValueError:
+                raised.append(True)
+                raise
+        monkeypatch.setattr(csgraph, "min_weight_full_bipartite_matching", spy)
+        for p in (1, 2):
+            for X, Y in ((A, B), (B, A)):
+                raised.clear()
+                with pytest.raises(UnmatchableInfinityError,
+                                   match=re.escape(UNMATCHABLE)):
+                    wasserstein(X, Y, p, DIAGONAL)
+                assert raised == [True]
+
+
+class TestIndex:
+    """Each set keeps one read-only index, ``metrics._index``, from its
+    first diagonal-slack distance, and reuses it with every partner."""
+
+    @staticmethod
+    def pool(kind: int, count: int = 10) -> list:
+        return [TRANSFORMS[kind](random_morse_set(
+            GenParams(peak_count_range=(5, 40), seed=seed)))
+            for seed in range(count)]
+
+    @pytest.mark.parametrize("kind", range(3))
+    def test_pad_origin_builds_none(self, kind):
+        A, B = self.pool(kind, 2)
+        for p in (1, 2, INF):
+            wasserstein(A, B, p, PAD_ORIGIN)
+        assert "_index" not in A.__dict__ and "_index" not in B.__dict__
+        wasserstein(A, B, 2, DIAGONAL)
+        assert "_index" in A.__dict__ and "_index" in B.__dict__
+
+    def test_stability_trials_build_none(self, monkeypatch):
+        built = []
+        real = metrics._index
+        monkeypatch.setattr(metrics, "_index",
+                            lambda X: (built.append(X), real(X))[1])
+        run_trials(GenParams(seed=5), trials=10)
+        assert built == []
+        run_trials(GenParams(seed=5), trials=2, slack=DIAGONAL)
+        assert built
+
+    def test_nan_raises_on_every_call(self):
+        ok = PTSet((PTFeature(1.0, 3.0, 1.0),), ())
+        # -inf birth and -inf death: the slack is NaN
+        bad = PTSet((PTFeature(1.0, -INF, -INF),), ())
+        for _ in range(3):
+            for A, B in ((bad, ok), (ok, bad)):
+                with pytest.raises(ValueError, match="NaN"):
+                    wasserstein(A, B, 2, DIAGONAL)
+        assert bad.__dict__["_index"].nan and not ok.__dict__["_index"].nan
+
+    @pytest.mark.parametrize("kind", range(3))
+    def test_equality_and_hash_unchanged(self, kind):
+        A, B = self.pool(kind, 2)
+        fresh = type(A)(*A._values())
+        before = (hash(A), repr(A))
+        wasserstein(A, B, 2, DIAGONAL)
+        index = A.__dict__["_index"]
+        assert (hash(A), repr(A)) == before == (hash(fresh), repr(fresh))
+        assert A == fresh and fresh == A and A != B
+        assert "_index" not in fresh.__dict__
+        assert not any(a.flags.writeable for a in index
+                       if isinstance(a, np.ndarray))
+
+    @pytest.mark.parametrize("kind", range(3))
+    def test_reuse_matches_a_fresh_copy(self, kind):
+        X, *partners = self.pool(kind)
+        wasserstein(X, partners[0], 2, DIAGONAL)
+        index = X.__dict__["_index"]
+        for Y in partners:
+            for p in (1, 2, 3, INF):
+                for reused, fresh in ((wasserstein(X, Y, p, DIAGONAL),
+                                       wasserstein(type(X)(*X._values()), Y,
+                                                   p, DIAGONAL)),
+                                      (wasserstein(Y, X, p, DIAGONAL),
+                                       wasserstein(Y, type(X)(*X._values()),
+                                                   p, DIAGONAL))):
+                    assert reused.hex() == fresh.hex(), (p, reused, fresh)
+        assert X.__dict__["_index"] is index
 
 
 class TestSolverLoader:
@@ -1272,14 +1384,20 @@ def sampled_pairs(draw):
     return f, g, bounds
 
 
+def segment_sets(y, bounds, scale: float = 1.0) -> list[MorseSet]:
+    """The Morse sets of the segments of the samples ``scale * y`` at x = 0,
+    ``scale``, ``2 scale``, ..., extracted with no plateau tolerance."""
+    x = np.arange(len(y), dtype=float) * scale
+    y = np.asarray(y) * scale
+    return extract_critical_points(SampledSeries.multi(
+        [np.column_stack((x[a:b], y[a:b])) for a, b in bounds]), 0.0)
+
+
 def superlevel_diagram(y, bounds) -> PDSet:
     """extract -> PT -> PD of each segment of the samples ``y`` at x = 0,
     1, ..., with no plateau tolerance, joined over the segments."""
-    x = np.arange(len(y), dtype=float)
-    sets = extract_critical_points(SampledSeries.multi(
-        [np.column_stack((x[a:b], y[a:b])) for a, b in bounds]), 0.0)
     return join_pd(to_persistence_diagram(persistence_transformation(ms))
-                   for ms in sets)
+                   for ms in segment_sets(y, bounds))
 
 
 class TestDiagramStability:
@@ -1319,3 +1437,96 @@ class TestDiagramStability:
         d = wasserstein(superlevel_diagram(f, bounds),
                         superlevel_diagram(f + 0.25, bounds), INF, DIAGONAL)
         assert d == 0.25
+
+
+# each transform of a signal cut into segments, joined over the segments
+JOINED = (lambda sets: join_pt(map(persistence_transformation, sets)),
+          lambda sets: join_rpt(map(reduced_persistence_transformation, sets)),
+          lambda sets: join_pd(to_persistence_diagram(
+              persistence_transformation(ms)) for ms in sets))
+
+
+def doubled(ms: MorseSet) -> MorseSet:
+    return MorseSet(2.0 * ms.xs, 2.0 * ms.ys, ms.is_max,
+                    (2.0 * ms.domain[0], 2.0 * ms.domain[1]))
+
+
+@st.composite
+def metamorphic_pairs(draw):
+    """The segments' Morse sets of two signals, ``(K, L)``, and of the same
+    signals scaled by 2: a generator set and its perturbation or another
+    generator set, scaled point by point; or a random walk and its
+    perturbation (``sampled_pairs``), scaled before extraction."""
+    if draw(st.booleans()):
+        f, g, bounds = draw(sampled_pairs())
+        return tuple((segment_sets(f, bounds, scale),
+                      segment_sets(g, bounds, scale)) for scale in (1.0, 2.0))
+    K, L = (random_morse_set(GenParams(peak_count_range=(1, 12), seed=seed))
+            for seed in draw(st.lists(st.integers(0, 2**32 - 1),
+                                      min_size=2, max_size=2)))
+    if draw(st.booleans()):
+        L = perturb(K, draw(st.sampled_from((0.01, 0.5, 3.0))),
+                    draw(st.integers(0, 2**32 - 1)))
+    return ([K], [L]), ([doubled(K)], [doubled(L)])
+
+
+def assert_metamorphic(one, two, slacks, rel: float = 0.0):
+    """For each transform of the signals ``one`` and of the doubled signals
+    ``two``, each slack in ``slacks`` and p = 1, 2, 3 and inf, with A, B
+    from ``one`` and 2A, 2B from ``two``: W(2A, 2B) is 2 W(A, B) bit for
+    bit; W(B, A) is W(A, B) bit for bit at p = inf and within ``rel`` of it
+    at finite p; W_p does not grow with p; or all three raise alike."""
+    for make in JOINED:
+        A, B = map(make, one)
+        A2, B2 = map(make, two)
+        for slack in slacks:
+            ws = []
+            for p in (1, 2, 3, INF):
+                w, back, scaled = (outcome(wasserstein, X, Y, p, slack)
+                                   for X, Y in ((A, B), (B, A), (A2, B2)))
+                where = (type(A).__name__, slack, p, w, back, scaled)
+                if isinstance(w, type):
+                    assert back is scaled is w, where
+                    continue
+                assert scaled.hex() == (2.0 * w).hex(), where
+                assert back.hex() == w.hex() if math.isinf(p) else \
+                    math.isclose(back, w, rel_tol=rel, abs_tol=0.0), where
+                ws.append(w)
+            assert ws == sorted(ws, reverse=True), (type(A).__name__, slack)
+
+
+def spectrum_pool(*args):
+    """``perfbench.inputs.spectrum_pool``, the diagram_matching pool's
+    signals, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_spectrum_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.spectrum_pool(*args)
+
+
+class TestMetamorphic:
+    """Relations that hold whatever the size, where no dense oracle reaches:
+    symmetry, scaling the signals by 2, and W_p non-increasing in p.  The
+    candidate search finds each pair from one side's windows, so a swap of
+    the sides is where a missing edge would show.
+
+    Symmetry is exact only at p = inf, whose value is one of the costs.  At
+    finite p, two matchings can tie in exact arithmetic and differ in the
+    rounded sum of their rounded costs, and the solver may pick either one
+    on the transposed instance: W(B, A) then differs from W(A, B) by an ulp
+    or two, under both slacks (relative differences of at most 2.8e-16 in
+    1000 drawn pairs, most at p = 1)."""
+
+    @given(metamorphic_pairs())
+    def test_symmetry_scaling_and_order_in_p(self, pairs):
+        assert_metamorphic(*pairs, (DIAGONAL, PAD_ORIGIN), rel=1e-15)
+
+    def test_spectrum_pair_at_3200_peaks(self):
+        signals = spectrum_pool(7, 2, 3200, 24)
+        one, two = ([extract_critical_points(
+            [(scale * x, scale * y) for x, y in signal])
+            for signal in signals] for scale in (1.0, 2.0))
+        assert [len(ms.maxima) for (ms,) in one] == [3200, 3200]
+        # symmetric bit for bit at every p on this pair
+        assert_metamorphic(one, two, (DIAGONAL,))
