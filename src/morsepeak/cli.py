@@ -1,7 +1,8 @@
 """Command-line front end: morsepeak extract|transform|distance|stability.
 
 Exit codes: 2 parse/input error (a transform document of another kind than
---kind is one), 3 invalid Morse set, 1 from stability when a gated trial fails.
+--kind is one) or an allocation that runs out of memory, 3 invalid Morse set,
+1 from stability when a gated trial fails.
 Extended reals are printed as "inf"/"-inf"; structured JSON uses null.
 """
 from __future__ import annotations
@@ -266,6 +267,11 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except (ValueError, OSError) as exc:
         print(f"morsepeak: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except MemoryError as exc:  # numpy's names the array it could not make
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"morsepeak: {args.command} ran out of memory{detail}",
+              file=sys.stderr)
         return EXIT_PARSE
 
 

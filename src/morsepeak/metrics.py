@@ -54,8 +54,15 @@ once, on its first diagonal-slack distance (``_index``), so a set compared
 with many partners pays for its sorts once, and every binary search runs
 on ascending keys.
 
-Every array cost, the ``pad-origin`` block and the ``diagonal`` candidates
-alike, goes through ``_sup``; ``sup_dist`` is its scalar form.
+Every array cost goes through ``_sup``; ``sup_dist`` is its scalar form.
+The ``pad-origin`` blocks of several pairs, as a batch of stability trials
+has, come from one ``_sup`` call (``_blocks``): each pair's m×m block, m
+its larger point count, is one contiguous slice of the values, with no
+padding up to the largest m, and each block is then solved alone.  The
+rank costs of the Morse-set distance come from one more call per batch
+(``_rank_costs``), and a distance of one pair is a batch of one.  Only
+subtraction, abs and max run on the batch, so every value is the one a
+call per pair gives.  The ``diagonal`` candidates take one call per pair.
 """
 from __future__ import annotations
 
@@ -65,7 +72,6 @@ import os
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
-from itertools import zip_longest
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -195,25 +201,52 @@ def _aggregate(costs: Sequence[float], p: float) -> float:
 # Morse-set distance
 
 
-_ORIGIN = (0.0, 0.0)
+def _padded(rows: np.ndarray, count: np.ndarray):
+    """Rows matched side by side: ``count[2u + s]`` rows of unit u on side
+    s, in that order of groups, are placed in the slots of their unit on
+    their side, as many as the unit's larger side has, zero rows filling
+    the rest.  Returns the (2, slots, width) array of both sides and the
+    slots of each unit."""
+    slots = count.reshape(-1, 2).max(axis=1)
+    group = np.arange(count.size).repeat(count)
+    first = (slots.cumsum() - slots)[group // 2]  # its unit's first slot
+    rank = np.arange(len(rows)) - (count.cumsum() - count)[group]
+    pad = np.zeros((2, slots.sum(), rows.shape[1]))
+    pad[group % 2, first + rank] = rows
+    return pad, slots
 
 
-def _rank_costs(K: MorseSet, L: MorseSet) -> list[float]:
-    """Sup-norm costs of the rank matching, which pairs the i-th maxima and
-    the i-th minima of K and L and pads with the origin; both must be valid."""
-    require_valid(K)
-    require_valid(L)
-    return [sup_dist(a, b) for ko, lo in ((K.max_order, L.max_order),
-                                          (K.min_order, L.min_order))
-            for a, b in zip_longest(K.xy(ko).tolist(), L.xy(lo).tolist(),
-                                    fillvalue=_ORIGIN)]
+def _rank_costs(pairs: Sequence[tuple[MorseSet, MorseSet]]
+                ) -> list[list[float]]:
+    """Sup-norm costs of the rank matching of each pair (K, L), which pairs
+    the i-th maxima and the i-th minima of K and L and pads with the origin;
+    every set must be valid.  One ``_sup`` call gives the costs of all
+    pairs, each pair's maxima and then its minima one contiguous slice."""
+    sets = [ms for pair in pairs for ms in pair]
+    for ms in sets:
+        require_valid(ms)
+    xs, ys, up = (np.concatenate([getattr(ms, a) for ms in sets])
+                  for a in ("xs", "ys", "is_max"))
+    # set 2k + s is side s of pair k; a unit is (pair, kind), and each
+    # side's points of a unit are in canonical order (``max_order``,
+    # ``min_order``): maxima by descending value, the right one first on a
+    # tie, minima by ascending value, the left one first
+    owner = np.arange(len(sets)).repeat([ms.xs.size for ms in sets])
+    group = 4 * (owner // 2) + 2 * ~up + owner % 2
+    sign = np.where(up, -1.0, 1.0)
+    order = np.lexsort((sign * np.arange(xs.size), sign * ys, group))
+    pad, slots = _padded(np.column_stack((xs, ys))[order],
+                         np.bincount(group, minlength=2 * len(sets)))
+    costs = _sup(pad[0].T, pad[1].T).tolist()
+    cut = [0, *slots.reshape(-1, 2).sum(axis=1).cumsum().tolist()]
+    return [costs[a:b] for a, b in zip(cut, cut[1:])]
 
 
 def morse_distance(K: MorseSet, L: MorseSet, p: float = 2.0) -> float:
     """p-aggregated sup-norm cost of the rank matching between two Morse
     sets, scale-safe at any p."""
     p = _check_p(p)
-    return _aggregate(_rank_costs(K, L), p)
+    return _aggregate(_rank_costs([(K, L)])[0], p)
 
 
 # ---------------------------------------------------------------------------
@@ -622,54 +655,76 @@ def wasserstein(A: TransformSet, B: TransformSet, p: float = 2.0,
     optimum's total lies in [1, n].  The distance is the scale-safe p-norm
     of the matched costs, as in :func:`morse_distance`, never rounded to 0.
     """
-    return _distances(A, B, (p,), slack)[0]
+    return _distances([(A, B)], (p,), slack)[0][0]
 
 
-def _distances(A: TransformSet, B: TransformSet, ps: Sequence[float],
-               slack: str) -> list[float]:
-    """:func:`wasserstein` at each of ``ps``: the checks, the points and the
-    sup block (``pad-origin``) or the candidate edges (``diagonal``) are
-    made once, the pruned instance and the solve once per p."""
+def _blocks(pairs: Sequence[tuple[TransformSet, TransformSet]]):
+    """The ``pad-origin`` instance of each pair (A, B): the m×m ``sup_dist``
+    block of A's and B's rows, m the larger row count, the smaller set
+    padded with all-zero rows.  All blocks come from one ``_sup`` call over
+    the two rows of each cell, each block one contiguous slice of the
+    values, row by row.  NaN raises."""
+    sets = [X for pair in pairs for X in pair]
+    pad, m = _padded(_points(*sets)[0], np.array([len(X.array) for X in sets]))
+    # cell k of a block is its row k // m and its column k % m
+    cells = m * m
+    k = np.arange(cells.sum()) - (cells.cumsum() - cells).repeat(cells)
+    rows, cols = np.divmod(k, m.repeat(cells))
+    first = (m.cumsum() - m).repeat(cells)
+    vals = _sup(pad[0].T[:, first + rows], pad[1].T[:, first + cols])
+    cut = [0, *cells.cumsum().tolist()]
+    return [(n, np.arange(n * n), vals[a:b], [])
+            for n, a, b in zip(m.tolist(), cut, cut[1:])]
+
+
+def _distances(pairs: Sequence[tuple[TransformSet, TransformSet]],
+               ps: Sequence[float], slack: str) -> list[list[float]]:
+    """:func:`wasserstein` of each pair (A, B) at each of ``ps``: the checks
+    are made once, the ``pad-origin`` sup blocks of all pairs together
+    (``_blocks``), and the candidate edges (``diagonal``) once per pair;
+    the pruned instance and the solve once per pair and p."""
     ps = [_check_p(p) for p in ps]
-    if type(A) is not type(B):
-        raise KindMismatchError(
-            f"cannot compare {type(A).__name__} with {type(B).__name__}")
+    for A, B in pairs:
+        if type(A) is not type(B):
+            raise KindMismatchError(
+                f"cannot compare {type(A).__name__} with {type(B).__name__}")
     if slack not in (DIAGONAL, PAD_ORIGIN):
         raise ValueError(f"unknown slack policy {slack!r}")
-    n = len(A.array)
-    if slack == PAD_ORIGIN:
-        P = _points(A, B)[0]
-        # zero rows pad the smaller set; np.pad is 10x slower on small sets
-        m = max(n, len(P) - n)
-        pa, pb = (np.concatenate([q, np.zeros((m - len(q), q.shape[1]))])
-                  for q in (P[:n], P[n:]))
-        whole = (m, np.arange(m * m), _sup(pa.T[:, :, None],
-                                           pb.T[:, None]).ravel(), [])
-    else:
-        a, b = _index(A), _index(B)
-        if a.nan or b.nan:
-            raise ValueError(_NAN)
-        s = np.concatenate((a.s, b.s))
-        if (s < 0).any():
-            raise ValueError("diagonal slack must not be negative")
-        whole, found = None, _candidates(a, b)
-    out = []
     try:
-        for p in ps:
-            N, cells, vals, dropped = whole or _pruned(found, s, n, p)
-            if whole or N < _SPARSE_ROWS:  # one dense block already
-                matched, parts = [], [(N, cells, vals)]
-            else:
-                matched, parts = _split(N, cells, vals, p)
-            for N, cells, vals in parts:
-                sparse = _sparse(N, cells)
-                if math.isinf(p):
-                    matched.append(_bottleneck(N, cells, vals, sparse)[1])
-                else:
-                    matched += _matched(N, cells, vals, p, sparse)
-            out.append(_aggregate(dropped + matched, p))
+        if slack == PAD_ORIGIN:
+            return [[_solve(*whole, p) for p in ps]
+                    for whole in _blocks(pairs)]
+        out = []
+        for A, B in pairs:
+            a, b = _index(A), _index(B)
+            if a.nan or b.nan:
+                raise ValueError(_NAN)
+            s = np.concatenate((a.s, b.s))
+            if (s < 0).any():
+                raise ValueError("diagonal slack must not be negative")
+            found = _candidates(a, b)
+            out.append([_solve(*_pruned(found, s, a.s.size, p), p)
+                        for p in ps])
+        return out
     except InfeasibleError:
         raise UnmatchableInfinityError(
             "no finite-cost matching: an infinite coordinate has no partner, "
             "or a cost exceeds the largest double") from None
-    return out
+
+
+def _solve(N: int, cells, vals: np.ndarray, dropped: list[float],
+           p: float) -> float:
+    """The distance at p of the instance ``(N, cells, vals, dropped)``: a
+    complete block or a pruned instance of fewer than ``_SPARSE_ROWS`` rows
+    is one dense solve, a larger pruned one is solved part by part."""
+    if _sparse(N, cells):
+        matched, parts = _split(N, cells, vals, p)
+    else:
+        matched, parts = [], [(N, cells, vals)]
+    for N, cells, vals in parts:
+        sparse = _sparse(N, cells)
+        if math.isinf(p):
+            matched.append(_bottleneck(N, cells, vals, sparse)[1])
+        else:
+            matched += _matched(N, cells, vals, p, sparse)
+    return _aggregate(dropped + matched, p)

@@ -9,10 +9,11 @@ an x-order death-index array (the essential peak, the survivor, dies at -inf).
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -60,23 +61,32 @@ class Pairing(_Frozen):
                      for i in self.ms.max_order.tolist())
 
 
-def _elder_deaths(ms: MorseSet) -> list[int]:
+def _elder_deaths(sets: Sequence[MorseSet]) -> list[int]:
+    """The death of every point of ``sets``, their x orders concatenated,
+    as an index into that concatenation (-1 for minima and the essential
+    peaks)."""
     # Union-find on the x order: a component of the upper levelset is an
     # interval [l, r] with span[l] = r, span[r] = l and elder peak elder[l].
     # Each maximum starts alone; minima come from the top down, leftmost
-    # first at equal height (a stable sort of the x order).
-    ys, n = ms.ys.tolist(), ms.xs.size
+    # first at equal height (a stable sort of the x order).  A minimum at
+    # either end of its set is a boundary point and joins nothing, so no
+    # component crosses from one set into the next.
+    size = np.array([ms.xs.size for ms in sets])
+    start = size.cumsum() - size
+    ys = np.concatenate([ms.ys for ms in sets])
+    inner = ~np.concatenate([ms.is_max for ms in sets])
+    inner[start] = inner[start + size - 1] = False
+    y, n = ys.tolist(), ys.size
     death, span, elder = [-1] * n, list(range(n)), list(range(n))
-    mins = np.flatnonzero(~ms.is_max)
-    for i in mins[np.argsort(-ms.ys[mins], kind="stable")].tolist():
-        if 0 < i < n - 1:
-            l, r = span[i - 1], span[i + 1]
-            a, b = elder[l], elder[i + 1]
-            # a lies left of b, so it is the elder at equal height
-            old, young = (a, b) if ys[a] >= ys[b] else (b, a)
-            death[young] = i
-            elder[l] = old
-            span[l], span[r] = r, l
+    mins = np.flatnonzero(inner)
+    for i in mins[np.argsort(-ys[mins], kind="stable")].tolist():
+        l, r = span[i - 1], span[i + 1]
+        a, b = elder[l], elder[i + 1]
+        # a lies left of b, so it is the elder at equal height
+        old, young = (a, b) if y[a] >= y[b] else (b, a)
+        death[young] = i
+        elder[l] = old
+        span[l], span[r] = r, l
     return death
 
 
@@ -88,7 +98,30 @@ def pair(ms: MorseSet) -> Pairing:
     representative peaks.  The set keeps its Pairing: the sweep runs once.
     """
     require_valid(ms)
-    return ms.memo("pairing", lambda ms: Pairing(ms, _elder_deaths(ms)))
+    return ms.memo("pairing", lambda ms: Pairing(ms, _elder_deaths([ms])))
+
+
+def _pair_all(sets: Sequence[MorseSet]) -> None:
+    """Validate each of ``sets``, in order, and keep the :func:`pair` and
+    the :func:`_peaks` table of every one not yet paired, from one elder
+    rule pass and one peak table over them all; a set given twice is
+    paired once.  If a peak's persistence is not finite, no table is kept:
+    ``_peaks`` raises when it builds that set's table alone."""
+    for ms in sets:
+        require_valid(ms)
+    todo = list({id(ms): ms for ms in sets if "pairing" not in ms._memo}
+                .values())
+    if not todo:
+        return
+    death = np.array(_elder_deaths(todo))
+    size = np.array([ms.xs.size for ms in todo])
+    start = size.cumsum() - size
+    local = death - np.where(death < 0, 0, start.repeat(size))
+    for ms, a, b in zip(todo, start.tolist(), (start + size).tolist()):
+        ms.memo("pairing", lambda ms: Pairing(ms, local[a:b]))
+    with suppress(ValueError):
+        for ms, table in zip(todo, _peak_table(todo, death, False)):
+            ms.memo("peaks", lambda ms: table)
 
 
 def pair_recursive(ms: MorseSet) -> Pairing:
@@ -274,23 +307,37 @@ def _peaks(ms: MorseSet, clip: bool = False) -> np.ndarray:
     too) has a persistence that is not finite, as on a span > max double."""
     death = pair(ms).death
     return ms.memo("clipped peaks" if clip else "peaks",
-                   lambda ms: _peak_table(ms, death, clip))
+                   lambda ms: _peak_table([ms], death, clip)[0])
 
 
-def _peak_table(ms: MorseSet, death: np.ndarray, clip: bool) -> np.ndarray:
-    d = death[ms.is_max]
-    essential = ms.ys.min() if clip else -math.inf
-    rows = np.array((ms.xs[ms.is_max], ms.ys[ms.is_max],
-                     np.where(d < 0, essential, ms.ys[d]))).T
+def _peak_table(sets: Sequence[MorseSet], death: np.ndarray,
+                clip: bool) -> list[np.ndarray]:
+    """The ``_peaks`` table of each of ``sets``, from the deaths that
+    :func:`_elder_deaths` gives for them, all rows sorted by one lexsort
+    keyed by (set, -persistence, position)."""
+    size = np.array([ms.xs.size for ms in sets])
+    xs, ys = (np.concatenate([getattr(ms, a) for ms in sets])
+              for a in ("xs", "ys"))
+    peaks = np.concatenate([ms.is_max for ms in sets]).nonzero()[0]
+    owner = np.arange(len(sets)).repeat(size)[peaks]
+    d = death[peaks]
+    if clip:  # each set's global minimum
+        essential = np.minimum.reduceat(ys, size.cumsum() - size)[owner]
+    else:
+        essential = -math.inf
+    rows = np.array((xs[peaks], ys[peaks],
+                     np.where(d < 0, essential, ys[d]))).T
     pers = _persistence(rows)
     bad = np.isinf(pers) & ((d >= 0) | clip)
     if bad.any():
         x, birth, death = rows[bad.argmax()].tolist()
         raise ValueError(f"the peak at x={x!r} has birth {birth!r} and death "
                          f"{death!r}, whose difference is not finite")
-    table = _by_persistence(np.column_stack((rows, pers)), pers)
+    table = np.column_stack((rows, pers))[np.lexsort((rows[:, 0], -pers,
+                                                      owner))]
     table.flags.writeable = False
-    return table
+    cut = [0, *np.bincount(owner, minlength=len(sets)).cumsum().tolist()]
+    return [table[a:b] for a, b in zip(cut, cut[1:])]
 
 
 def persistence_transformation(ms: MorseSet) -> PTSet:

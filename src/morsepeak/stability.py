@@ -19,7 +19,8 @@ import numpy as np
 from .core import InvalidMorseSetError, MorseSet
 from .metrics import (PAD_ORIGIN, UnmatchableInfinityError, _aggregate,
                       _distances, _rank_costs)
-from .pairing import persistence_transformation, reduced_persistence_transformation
+from .pairing import (_pair_all, persistence_transformation,
+                      reduced_persistence_transformation)
 
 ABS_TOL = 1e-9
 REL_TOL = 1e-7
@@ -168,15 +169,18 @@ def check_stability(K: MorseSet, L: MorseSet, p: float,
     constant that holds is 2^(1-1/p), see the README), so ``holds`` can be
     False there and ``morsepeak stability --transform rpt`` can exit 1 by
     design."""
-    return _reports(K, L, (p,), (transform,), slack, seed)[0]
+    return _reports([(K, L)], (p,), (transform,), slack, [seed])[0]
 
 
-def _reports(K: MorseSet, L: MorseSet, ps: Sequence[float],
+def _reports(pairs: Sequence[tuple[MorseSet, MorseSet]], ps: Sequence[float],
              transforms: Sequence[str], slack: str,
-             seed: Optional[int]) -> list[StabilityReport]:
-    """:func:`check_stability` for each transform, then each p.  Each
-    transform of K and L, its sup block and the rank matching are built once
-    and reused across p; the distances are computed before the rank costs."""
+             seeds: Sequence[Optional[int]]) -> list[StabilityReport]:
+    """:func:`check_stability` of each pair (K, L), with its seed, for each
+    transform, then each p.  The sets are paired together, each transform
+    of each set is built once, and the sup blocks of all pairs and their
+    rank costs come from one ``_sup`` call per transform and one more;
+    each distance is still solved alone."""
+    sets = [ms for pair in pairs for ms in pair]
     # looked up at call time, so a wrapped transform is used
     makes = {"pt": persistence_transformation,
              "rpt": reduced_persistence_transformation}
@@ -185,21 +189,27 @@ def _reports(K: MorseSet, L: MorseSet, ps: Sequence[float],
         make = makes.get(transform)
         if make is None:
             raise ValueError(f"unknown transform {transform!r}")
-        lhs.append(_distances(make(K), make(L), ps, slack))
-    costs = _rank_costs(K, L)
-    rhs = [_aggregate(costs, float(p)) for p in ps]
-    equal = (K.kappa_plus == L.kappa_plus and K.kappa_minus == L.kappa_minus)
+        # validates and pairs every set once; after the first name check,
+        # so that an unknown name is reported before an invalid set
+        _pair_all(sets)
+        lhs.append(_distances([(make(K), make(L)) for K, L in pairs], ps,
+                              slack))
+    rhs = [[_aggregate(costs, float(p)) for p in ps]
+           for costs in _rank_costs(pairs)]
     reports = []
-    for transform, row in zip(transforms, lhs):
-        for a, b, p in zip(row, rhs, ps):
-            if math.isinf(b):
-                holds = True
-                ratio = 0.0 if not math.isinf(a) else 1.0
-            else:
-                holds = bool(a <= b + _tolerance(a, b))
-                ratio = a / b if b > 0 else (0.0 if holds else math.inf)
-            reports.append(StabilityReport(a, b, ratio, holds, p, slack,
-                                           transform, seed, equal))
+    for k, ((K, L), seed) in enumerate(zip(pairs, seeds)):
+        equal = (K.kappa_plus == L.kappa_plus
+                 and K.kappa_minus == L.kappa_minus)
+        for transform, row in zip(transforms, lhs):
+            for a, b, p in zip(row[k], rhs[k], ps):
+                if math.isinf(b):
+                    holds = True
+                    ratio = 0.0 if not math.isinf(a) else 1.0
+                else:
+                    holds = bool(a <= b + _tolerance(a, b))
+                    ratio = a / b if b > 0 else (0.0 if holds else math.inf)
+                reports.append(StabilityReport(a, b, ratio, holds, p, slack,
+                                               transform, seed, equal))
     return reports
 
 
@@ -210,12 +220,54 @@ def _perturbed_pair(params: GenParams, seed: int,
     return K, perturb(K, epsilon, seed + 1)
 
 
-def _trial(params: GenParams, index: int, epsilon: float,
-           ps: Sequence[float], transforms: Sequence[str],
-           slack: str) -> list[StabilityReport]:
-    seed_k = params.seed * 1_000_003 + 2 * index
-    K, L = _perturbed_pair(params, seed_k, epsilon)
-    return _reports(K, L, ps, transforms, slack, seed_k)
+# the most cells a batch of trials hands one _sup call: 2 MB of costs, and
+# 2 MB per coordinate and side of gathered rows.  A trial counts (m + 1)^2
+# cells, m the larger peak count of its pair, which bounds both its sup
+# block (m^2) and its rank costs (at most 2m + 1).
+_BATCH_CELLS = 2 ** 18
+
+
+def _batch_reports(params: GenParams, indices: Iterable[int], epsilon: float,
+                   ps: Sequence[float], transforms: Sequence[str],
+                   slack: str) -> list[StabilityReport]:
+    """The reports of the trials ``indices``, in order: their pairs are
+    drawn one trial at a time and evaluated in batches of at most
+    ``_BATCH_CELLS`` cells.  A failed draw is raised after the trials
+    before it are evaluated."""
+    reports: list[StabilityReport] = []
+    batch: list = []  # (pair, seed) of each trial not yet evaluated
+    cells = 0
+    for index in indices:
+        seed = params.seed * 1_000_003 + 2 * index
+        try:
+            pair = _perturbed_pair(params, seed, epsilon)
+        except ValueError:
+            _evaluate(batch, ps, transforms, slack)
+            raise
+        size = (max(pair[0].kappa_plus, pair[1].kappa_plus) + 1) ** 2
+        if batch and cells + size > _BATCH_CELLS:
+            reports += _evaluate(batch, ps, transforms, slack)
+            batch, cells = [], 0
+        batch.append((pair, seed))
+        cells += size
+    return reports + _evaluate(batch, ps, transforms, slack)
+
+
+def _evaluate(batch: list, ps: Sequence[float], transforms: Sequence[str],
+              slack: str) -> list[StabilityReport]:
+    """The reports of the trials ``batch``, (pair, seed) each, as one
+    :func:`_reports` call.  If it fails, the trials are evaluated again one
+    at a time, so the error raised is the first failing trial's, as in a
+    run that evaluates them in turn."""
+    if not batch:
+        return []
+    pairs, seeds = zip(*batch)
+    try:
+        return _reports(pairs, ps, transforms, slack, seeds)
+    except ValueError:
+        for pair, seed in batch:
+            _reports([pair], ps, transforms, slack, [seed])
+        raise
 
 
 def run_trials(params: GenParams, trials: int, epsilon: float = 0.1,
@@ -227,21 +279,29 @@ def run_trials(params: GenParams, trials: int, epsilon: float = 0.1,
     """Run perturbation trials; optionally persist failing pairs as fixtures.
 
     Results are deterministic in ``params.seed`` and independent of
-    ``max_workers``, a cap on the worker processes; reports are in trial order.
+    ``max_workers``, a cap on the worker processes; reports are in trial
+    order.  A serial run evaluates its trials in batches, and a worker
+    process the chunk of trial indices it is given: the sets of a batch
+    are validated and paired together, and the sup blocks and the rank
+    costs of all its pairs come from one array expression per transform
+    and one more; each distance is still solved alone.  A batch holds at
+    most ``_BATCH_CELLS`` (2^18) cells, so memory stays bounded however
+    many trials run; a trial of more cells forms a batch alone.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     _check_params(params)
-    trial = partial(_trial, params, epsilon=epsilon, ps=ps,
-                    transforms=transforms, slack=slack)
+    run = partial(_batch_reports, params, epsilon=epsilon, ps=ps,
+                  transforms=transforms, slack=slack)
     workers = min(max_workers, trials, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+        step = max(1, trials // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(trial, range(trials), chunksize=max(
-                1, trials // (4 * workers))))
+            batches = list(pool.map(run, (range(trials)[i:i + step]
+                                          for i in range(0, trials, step))))
     else:
-        batches = map(trial, range(trials))
+        batches = [run(range(trials))]
     reports = [r for batch in batches for r in batch]
     if fixture_dir is not None:
         failing = [r for r in reports if not r.holds]

@@ -709,6 +709,42 @@ class TestStability:
         assert err == "morsepeak: trials must be nonnegative\n"
 
 
+class TestOutOfMemory:
+    """An allocation that runs out of memory exits 2 with one line naming
+    the command.  The batch and block costs are made to raise what numpy
+    raises past the memory; no real memory limit is set."""
+
+    MESSAGE = "Unable to allocate 1.46 TiB for an array"
+
+    @pytest.fixture(autouse=True)
+    def failing_costs(self, monkeypatch):
+        def fail(us, vs):
+            raise MemoryError(self.MESSAGE)
+        monkeypatch.setattr(morsepeak.metrics, "_sup", fail)
+
+    def test_stability(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "stability", "--trials", "3",
+                             "-o", str(report))
+        assert (code, out) == (2, "") and not report.exists()
+        assert err == ("morsepeak: stability ran out of memory "
+                       f"({self.MESSAGE})\n")
+
+    @pytest.mark.parametrize("kind", ["morse", "pt", "rpt", "pd"])
+    @pytest.mark.parametrize("slack", ["pad-origin", "diagonal"])
+    def test_distance(self, capsys, tmp_path, e1_csv, kind, slack):
+        path = e1_csv
+        if kind != "morse":
+            path = str(tmp_path / f"{kind}.json")
+            assert run(capsys, "transform", e1_csv, "--kind", kind,
+                       "-o", path)[0] == 0
+        code, out, err = run(capsys, "distance", path, path, "--kind", kind,
+                             "--slack", slack)
+        assert (code, out) == (2, "")
+        assert err == ("morsepeak: distance ran out of memory "
+                       f"({self.MESSAGE})\n")
+
+
 class TestEntryPoint:
     @pytest.mark.skipif(shutil.which("morsepeak") is None,
                         reason="morsepeak console script not installed "

@@ -178,19 +178,20 @@ class TestTransforms:
 
     def test_pairing_comes_from_pair(self, monkeypatch):
         # each transform call looks its pairing up through pair, and the
-        # elder rule runs once for the set
+        # elder rule runs once for the set, as a batch of one
         looked_up, swept = [], []
         real_pair, real_deaths = pairing.pair, pairing._elder_deaths
         monkeypatch.setattr(pairing, "pair",
                             lambda ms: looked_up.append(ms) or real_pair(ms))
-        monkeypatch.setattr(pairing, "_elder_deaths",
-                            lambda ms: swept.append(ms) or real_deaths(ms))
+        monkeypatch.setattr(pairing, "_elder_deaths", lambda sets: (
+            swept.append(sets) or real_deaths(sets)))
         ms = random_morse_set(GenParams(peak_count_range=(3, 6), seed=6))
         pt = persistence_transformation(ms)
         reduced_persistence_transformation(ms)
         reduced_persistence_transformation(ms, clip_essential=True)
         to_persistence_diagram(pt)
-        assert [id(m) for m in looked_up] == [id(ms)] * 3 and swept == [ms]
+        assert [id(m) for m in looked_up] == [id(ms)] * 3
+        assert [[id(m) for m in sets] for sets in swept] == [[id(ms)]]
 
     def test_peak_table_built_once_per_clip(self, monkeypatch):
         # the PT and the RPT of a set share its peak table; the clipped

@@ -17,7 +17,7 @@ from morsepeak import (DIAGONAL, PAD_ORIGIN, GenParams, MorseSet,
 
 from oracles import (brute_force_wasserstein, dense_wasserstein,
                      exhaustive_matching, morse_distance_direct,
-                     per_entry_cost_matrix)
+                     per_entry_cost_matrix, sweep_pairing)
 
 INF = math.inf
 
@@ -98,6 +98,43 @@ class TestGenerator:
         with pytest.raises(ValueError, match=r"^peak_count_range too large: "
                            r"cannot draw 100000000000 peaks \("):
             random_morse_set(GenParams(peak_count_range=(10**11, 10**11)))
+
+    def test_draw_failing_at_a_later_trial(self, monkeypatch):
+        # the trials before it are evaluated, and the run raises the draw's
+        # error, returning no report
+        real, evaluated = stability.random_morse_set, []
+
+        def third_fails(params):
+            if params.seed == 3 * 1_000_003 + 2 * 3:
+                raise ValueError("peak_count_range too large: cannot draw "
+                                 "100000000000 peaks (no memory)")
+            return real(params)
+
+        real_reports = stability._reports
+        monkeypatch.setattr(stability, "random_morse_set", third_fails)
+        monkeypatch.setattr(stability, "_reports", lambda pairs, *rest: (
+            evaluated.append(len(pairs)), real_reports(pairs, *rest))[1])
+        with pytest.raises(ValueError, match=r"^peak_count_range too large: "
+                           r"cannot draw 100000000000 peaks \("):
+            run_trials(GenParams(seed=3), 10)
+        assert evaluated == [3]
+
+    def test_first_failing_trial_raises(self, monkeypatch):
+        # a batch builds every PT before any distance or RPT; the error
+        # raised is still that of the first trial to fail: trial 2's RPT
+        # comes before trial 5's PT
+        Ks, real_set = [], stability.random_morse_set
+        monkeypatch.setattr(stability, "random_morse_set", lambda params: (
+            Ks.append(real_set(params)) or Ks[-1]))
+        for name, k in (("persistence_transformation", 5),
+                        ("reduced_persistence_transformation", 2)):
+            def failing(ms, *args, real=getattr(stability, name), k=k):
+                if len(Ks) > k and ms is Ks[k]:
+                    raise ValueError(f"trial {k} fails")
+                return real(ms, *args)
+            monkeypatch.setattr(stability, name, failing)
+        with pytest.raises(ValueError, match="^trial 2 fails$"):
+            run_trials(GenParams(seed=4), 8)
 
     @staticmethod
     def bounded_draws(monkeypatch, limit: int = 1000) -> None:
@@ -395,6 +432,29 @@ class TestRunTrials:
             want = check_stability(K, L, r.p, r.transform, slack, seed=r.seed)
             assert repr(r) == repr(want)
 
+    def test_batches_hold_at_most_the_cap(self, monkeypatch):
+        # 1-400 peaks: the blocks of 40 trials cannot share one call
+        cells = []
+        real = metrics._sup
+
+        def spy(us, vs):
+            out = real(us, vs)
+            cells.append(out.size)
+            return out
+
+        monkeypatch.setattr(metrics, "_sup", spy)
+        params = GenParams(seed=3, peak_count_range=(1, 400))
+        reports = run_trials(params, 40)
+        assert len(cells) > 3 and max(cells) <= stability._BATCH_CELLS
+        monkeypatch.undo()
+        one = []
+        for index in range(40):
+            seed = 3 * 1_000_003 + 2 * index
+            one += stability._reports(
+                [stability._perturbed_pair(params, seed, 0.1)],
+                (1.0, 2.0, INF), ("pt", "rpt"), PAD_ORIGIN, [seed])
+        assert list(map(exact, reports)) == list(map(exact, one))
+
     def test_json_report(self):
         reports = run_trials(GenParams(seed=2), trials=3, transforms=("pt",),
                              ps=(1.0,))
@@ -419,10 +479,85 @@ class TestRunTrials:
             assert not r.holds
 
 
+def exact(r: stability.StabilityReport) -> tuple:
+    """A report's fields, its floats by ``float.hex``."""
+    return (repr(r), *(float.hex(float(v)) for v in (r.lhs, r.rhs, r.ratio)))
+
+
+@st.composite
+def trial_batches(draw) -> list:
+    """1-12 pairs (K, L) of sets of 1-12 peaks: K a generator set, or one
+    of integer heights, many of them tied, and L its perturbation by
+    epsilon 0 (K itself), 0.1 or 0.5.  Some pairs take their K from
+    another pair, so a set may sit in several pairs and pairs may differ
+    in their peak counts."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 12))):
+        k = draw(st.integers(1, 12))
+        seed = draw(st.integers(0, 2 ** 32))
+        if draw(st.booleans()):
+            K = random_morse_set(GenParams(peak_count_range=(k, k), seed=seed))
+        else:  # every minimum below every maximum: always valid
+            ys = np.empty(2 * k + 1)
+            ys[0::2] = draw(st.lists(st.integers(0, 2), min_size=k + 1,
+                                     max_size=k + 1))
+            ys[1::2] = draw(st.lists(st.integers(3, 5), min_size=k,
+                                     max_size=k))
+            K = MorseSet(np.arange(2.0 * k + 1), ys,
+                         np.arange(2 * k + 1) % 2 == 1, (0.0, 2.0 * k))
+        if pairs and draw(st.booleans()):
+            K = pairs[draw(st.integers(0, len(pairs) - 1))][0]
+        pairs.append((K, perturb(K, draw(st.sampled_from([0.0, 0.1, 0.5])),
+                                 seed + 1)))
+    return pairs
+
+
+def fresh(pairs: list) -> list:
+    """The same pairs of new, unpaired sets, a set in several places still
+    one object."""
+    new = {}
+    for ms in (ms for pair in pairs for ms in pair):
+        new.setdefault(id(ms), MorseSet(ms.xs, ms.ys, ms.is_max, ms.domain))
+    return [(new[id(K)], new[id(L)]) for K, L in pairs]
+
+
+@given(trial_batches(), st.sampled_from([PAD_ORIGIN, DIAGONAL]))
+def test_batch_equals_one_pair_calls(pairs, slack):
+    # a batch gives each pair the reports of its own one-pair call, and
+    # each value agrees with the oracles
+    ps, transforms = (1.0, 2.0, INF), ("pt", "rpt")
+    batch = fresh(pairs)
+    seeds = list(range(len(pairs)))
+    got = stability._reports(batch, ps, transforms, slack, seeds)
+    want = [r for pair, seed in zip(fresh(pairs), seeds)
+            for r in stability._reports([pair], ps, transforms, slack, [seed])]
+    assert list(map(exact, got)) == list(map(exact, want))
+    for ms in {id(ms): ms for pair in batch for ms in pair}.values():
+        assert {e.peak: e.death for e in pairing.pair(ms).entries} == \
+            sweep_pairing(ms)
+    make = {"pt": pairing.persistence_transformation,
+            "rpt": pairing.reduced_persistence_transformation}
+    per_pair = len(ps) * len(transforms)
+    for k, (K, L) in enumerate(batch):
+        for r in got[k * per_pair:(k + 1) * per_pair]:
+            # the oracles sum powers unscaled: equal at p = inf, close at
+            # finite p
+            close = (lambda v: v) if math.isinf(r.p) else \
+                (lambda v: pytest.approx(v, rel=1e-12))
+            assert r.rhs == close(morse_distance_direct(K, L, r.p))
+            A, B = make[r.transform](K), make[r.transform](L)
+            if slack == PAD_ORIGIN and max(len(A.array), len(B.array)) <= 6:
+                block = per_entry_cost_matrix(A.array, None, B.array, None,
+                                              PAD_ORIGIN)
+                assert r.lhs == close(exhaustive_matching(block, r.p))
+
+
 class TestComputedOnce:
     """A Morse set is validated once and paired once, however often the
-    stability checks read it; a trial transforms each set and builds each
-    sup block once."""
+    stability checks read it; a batch of trials pairs all its sets in one
+    pass, transforms each set once, and builds the sup blocks of all its
+    pairs with one ``_sup`` call per transform and its rank costs with one
+    more."""
 
     @staticmethod
     def counted(monkeypatch, module, name):
@@ -445,9 +580,27 @@ class TestComputedOnce:
             for transform in ("pt", "rpt"):
                 check_stability(K, L, p, transform)
         assert sorted(map(id, validated)) == sorted([id(K), id(L)])
-        assert sorted(map(id, paired)) == sorted([id(K), id(L)])
+        # one elder rule pass, over both sets, in the first call
+        assert [list(map(id, sets)) for sets in paired] == [[id(K), id(L)]]
+
+    def test_set_given_twice_is_paired_once(self, monkeypatch):
+        # at epsilon 0 each trial's L is its K itself
+        paired = self.counted(monkeypatch, pairing, "_elder_deaths")
+        reports = run_trials(GenParams(seed=5), trials=3, epsilon=0.0)
+        assert all(r.lhs == r.rhs == 0.0 for r in reports)
+        assert len(paired) == 1 and len({id(ms) for ms in paired[0]}) == \
+            len(paired[0]) == 3
 
     def test_run_trials(self, monkeypatch):
+        # the default cap puts the 20 trials in one batch, a cap of 150
+        # cells in batches of a few trials each
+        for cap in (stability._BATCH_CELLS, 150):
+            with monkeypatch.context() as mp:
+                mp.setattr(stability, "_BATCH_CELLS", cap)
+                self.assert_computed_once(mp, cap == 150)
+
+    def assert_computed_once(self, monkeypatch, several: bool):
+        batches = self.counted(monkeypatch, stability, "_reports")
         validated = self.counted(monkeypatch, core, "validate")
         paired = self.counted(monkeypatch, pairing, "_elder_deaths")
         pts = self.counted(monkeypatch, stability,
@@ -456,16 +609,22 @@ class TestComputedOnce:
                             "reduced_persistence_transformation")
         blocks = self.counted(monkeypatch, metrics, "_sup")
         run_trials(GenParams(seed=5), trials=20)
-        for seen in (validated, paired):
-            assert len({id(ms) for ms in seen}) == len(seen)
-        # each trial pairs its two sets, K and the perturbed L
-        assert len(paired) == 40
-        # and builds each transform of each of them once, whatever the ps
+        assert (len(batches) > 1) == several and len(batches) < 20
+        sets = [[ms for pair in batch for ms in pair] for batch in batches]
+        everyone = sum(sets, [])
+        # each trial's two sets, K and the perturbed L, are validated once
+        assert len({id(ms) for ms in everyone}) == len(everyone) == 40
+        assert sorted(map(id, validated)) == sorted(map(id, everyone))
+        # and paired once, in one elder rule pass per batch
+        assert [list(map(id, s)) for s in paired] == \
+            [list(map(id, s)) for s in sets]
+        # each transform of each set is built once, whatever the ps
         for seen in (pts, rpts):
-            assert sorted(map(id, seen)) == sorted(map(id, paired))
-        # one _sup call, the pad-origin sup block, per (trial, transform),
-        # shared by the three ps; pad-origin never reaches _candidates
-        assert len(blocks) == 20 * 2
+            assert sorted(map(id, seen)) == sorted(map(id, everyone))
+        # per batch, one _sup call per transform for the pad-origin sup
+        # blocks of all its pairs, shared by the three ps (pad-origin never
+        # reaches _candidates), and one for the rank costs
+        assert len(blocks) == 3 * len(batches)
 
 
 class TestShrink:
@@ -497,7 +656,7 @@ class TestShrink:
         assert shrink_counterexample(K, invalid, 1.0, "pt", PAD_ORIGIN) == \
             (K, invalid)
 
-        def unmatchable(A, B, ps, slack):
+        def unmatchable(pairs, ps, slack):
             raise UnmatchableInfinityError("no partner")
 
         monkeypatch.setattr(stability, "_distances", unmatchable)
