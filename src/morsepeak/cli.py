@@ -54,16 +54,29 @@ def _parse_p(token: str) -> float:
     return p
 
 
+def _numbers(data) -> None:
+    """TypeError if a value of the decoded JSON ``data``, at any depth, is a
+    string or a boolean: every cell of a document is a number or null."""
+    stack = [data]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (str, bool)):
+            raise TypeError(f"{json.dumps(x)} is not a number")
+        stack.extend(x.values() if isinstance(x, dict) else
+                     x if isinstance(x, list) else ())
+
+
 def _load_json(text: str, name: str, decode):
     """``decode`` of the JSON document ``text``.  A syntax error, too deep a
-    nesting or a document of the wrong shape is an input error naming the
-    input."""
+    nesting or a document of the wrong shape, a string or a boolean cell
+    included, is an input error naming the input."""
     source = "stdin" if name == "-" else name
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{source}: {exc}") from None
     try:
+        _numbers(data)
         return decode(data)
     except (TypeError, IndexError, OverflowError, KeyError,
             ValueError) as exc:

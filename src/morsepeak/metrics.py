@@ -10,31 +10,33 @@ cost c with ``c^p <= s_i^p + s_j^p`` (``c <= max(s_i, s_j)`` at p = inf):
 sending both ends of any other edge to the diagonal and pairing their
 diagonal copies at cost 0 is no worse.  Diagonal copies pair only at kept
 edges, and a point of finite slack with no kept edge goes to the diagonal
-outright.  The answer equals the full bordered matrix's.
+outright.  A lone kept edge, whose ends have no other, is settled in the
+prune too: its ends and their copies are a part of their own, matched by
+the edge or by the diagonal, the cheaper.  The answer equals the full
+bordered matrix's.
 
-Every instance is ``(N, cells, vals, dropped)``: the N×N matrix with
+Every instance is ``(N, cells, vals, settled)``: the N×N matrix with
 ``vals`` at the flat ``cells``, one ascending integer array of each cell
-once, and inf elsewhere, and the slacks of the points dropped from it.  A
-pruned instance is built for one p (kept edges, each point to its own copy,
-the copy-to-copy transposes of kept edges); the ``pad-origin`` block and a
+once, and inf elsewhere, and the costs settled outside it.  A pruned
+instance is built for one p (kept edges, each point to its own copy, the
+copy-to-copy transposes of kept edges); the ``pad-origin`` block and a
 :func:`solve_assignment` matrix list every cell.  A pruned one of fewer
 than ``_SPARSE_ROWS`` rows is solved as one dense matrix.  A larger one is
 solved one connected part of its rows and columns at a time (``_split``):
-a part of one row, or of two rows and four cells, in closed form; parts
-of fewer than ``_SPARSE_ROWS`` rows packed into dense blocks of fewer
-than ``_SPARSE_ROWS`` rows; a larger part alone as a sparse graph, so
-nothing of size N² is built (``min_weight_full_bipartite_matching`` for
-finite p).  The distance is the max (p = inf) or the p-norm of the parts'
-matched costs together.  At p = inf every solve goes through
+parts of fewer than ``_SPARSE_ROWS`` rows packed into dense blocks of
+fewer than ``_SPARSE_ROWS`` rows, a larger part alone as a sparse graph,
+so nothing of size N² is built (``min_weight_full_bipartite_matching`` for
+finite p).  The distance is the max (p = inf) or the p-norm of the settled
+and the matched costs together.  At p = inf every solve goes through
 ``_bottleneck``, one lower-bound-first threshold search (also behind
 :func:`solve_assignment`), whose probe is ``linear_sum_assignment`` or
 ``maximum_bipartite_matching``.  RPT has the largest pruned instances: its
 slack is the whole persistence, so nearly every point survives the prune.
-At 200 peaks a side its 330 rows fall into about 110 parts, 100 of them a
-lone kept edge and none of 110 rows or more; at 3200 peaks all but 2 of
-its 6400 rows are one part, and the instance is solved whole.
-``_SPARSE_ROWS`` is where the sparse solve's fixed cost (0.1-0.2 ms
-a call) stops losing to the dense one.  The sparse solvers see only
+At 200 peaks a side 85-110 of its kept edges are lone, and the 113-150
+rows left fall into 9-13 parts of at most 28 rows; at 3200 peaks one edge
+is lone and the other 6398 rows are one part, solved whole.
+``_SPARSE_ROWS`` is where the sparse solve's fixed cost (0.1-0.2 ms a
+call) stops losing to the dense one.  The sparse solvers see only
 canonical graphs (a duplicate cell gives a wrong matching or aborts the
 process), no exact 0 (it would be dropped), and a graph one column wider
 than tall (see ``_graph``).  scipy is loaded only when a solve needs it: a
@@ -54,15 +56,15 @@ once, on its first diagonal-slack distance (``_index``), so a set compared
 with many partners pays for its sorts once, and every binary search runs
 on ascending keys.
 
-Every array cost goes through ``_sup``; ``sup_dist`` is its scalar form.
-The ``pad-origin`` blocks of several pairs, as a batch of stability trials
-has, come from one ``_sup`` call (``_blocks``): each pair's m×m block, m
-its larger point count, is one contiguous slice of the values, with no
-padding up to the largest m, and each block is then solved alone.  The
-rank costs of the Morse-set distance come from one more call per batch
-(``_rank_costs``), and a distance of one pair is a batch of one.  Only
-subtraction, abs and max run on the batch, so every value is the one a
-call per pair gives.  The ``diagonal`` candidates take one call per pair.
+Every cost goes through ``_sup``, ``sup_dist`` too.  The ``pad-origin``
+blocks of several pairs, as a batch of stability trials has, come from
+one ``_sup`` call (``_blocks``): each pair's m×m block, m its larger point
+count, is one contiguous slice of the values, with no padding up to the
+largest m, and each block is then solved alone.  The rank costs of the
+Morse-set distance come from one more call per batch (``_rank_costs``),
+and a distance of one pair is a batch of one.  Only subtraction, abs and
+max run on the batch, so every value is the one a call per pair gives.
+The ``diagonal`` candidates take one call per pair.
 """
 from __future__ import annotations
 
@@ -109,18 +111,14 @@ def _check_p(p: float) -> float:
 
 
 def sup_dist(u: Sequence[float], v: Sequence[float]) -> float:
-    """Sup-norm distance with extended reals: equal infinite coordinates
-    contribute nothing, mismatched ones make the distance infinite."""
-    best = 0.0
-    for a, b in zip(u, v):
-        if math.isinf(a) or math.isinf(b):
-            if a == b:
-                continue
-            return math.inf
-        d = abs(a - b)
-        if d > best:
-            best = d
-    return best
+    """Sup-norm distance with extended reals, the largest of the ``_sup``
+    costs of the coordinates: equal infinite coordinates contribute
+    nothing, mismatched ones make the distance infinite.  A NaN coordinate
+    raises ValueError."""
+    uv = np.array((u, v), dtype=float)
+    if np.isnan(uv).any():
+        raise ValueError("coordinate is NaN")
+    return float(_sup(uv[:1], uv[1:]).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +145,7 @@ def solve_assignment(cost, objective: str = "sum") -> MatchResult:
 
     if objective != "bottleneck":
         raise ValueError(f"unknown objective {objective!r}")
-    cols, level = _bottleneck(len(M), np.arange(M.size), M.ravel(), False)
+    cols, level = _bottleneck(len(M), np.arange(M.size), M.ravel())
     return MatchResult(tuple(enumerate(cols.tolist())), level)
 
 
@@ -256,9 +254,6 @@ def morse_distance(K: MorseSet, L: MorseSet, p: float = 2.0) -> float:
 TransformSet = Union[PTSet, RPTSet, PDSet]
 
 
-_NAN = "transform point or slack is NaN"
-
-
 def _slack(X: TransformSet, cols: np.ndarray) -> tuple[np.ndarray, bool]:
     """The slacks of the points ``cols`` (one array per column) of sets of
     X's kind, the sup-norm distance to the zero-persistence locus: the RPT
@@ -272,14 +267,21 @@ def _slack(X: TransformSet, cols: np.ndarray) -> tuple[np.ndarray, bool]:
     return s, bool(np.isnan(cols).any() or np.isnan(s).any())
 
 
-def _points(*sets: TransformSet) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``sets``, all of one kind, stacked, and their slacks.
-    NaN raises."""
-    cols = np.concatenate([s.array.T for s in sets], axis=1)
-    slack, nan = _slack(sets[0], cols)
+def _checked(s: np.ndarray, nan: bool) -> np.ndarray:
+    """The slacks ``s``; ValueError if a point or a slack is NaN (``nan``)
+    or a slack is negative, under either slack policy."""
     if nan:
-        raise ValueError(_NAN)
-    return cols.T, slack
+        raise ValueError("transform point or slack is NaN")
+    if (s < 0).any():
+        raise ValueError("slack must not be negative")
+    return s
+
+
+def _points(*sets: TransformSet) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``sets``, all of one kind, stacked, and their slacks,
+    checked (``_checked``)."""
+    cols = np.concatenate([s.array.T for s in sets], axis=1)
+    return cols.T, _checked(*_slack(sets[0], cols))
 
 
 def _sup(us, vs) -> np.ndarray:
@@ -389,15 +391,31 @@ def _pruned(found: tuple, s: np.ndarray, n: int, p: float):
     ``s`` (the first side's n first), from the candidate edges ``found`` by
     :func:`_candidates`: its size N, the flat indices of its finite cells in
     the N×N bordered matrix, each once and ascending, their values, and the
-    dropped points' slacks.  The rule is taken relative to each edge's
-    larger slack t, so no power overflows."""
+    costs settled outside it.  The rule is taken relative to each edge's
+    larger slack t, so no power overflows.
+
+    A point of finite slack and no kept edge is dropped at its slack.  A
+    lone kept edge, whose ends have no other, is settled too: its part of
+    the instance is its ends and their copies, so it matches its ends at
+    cost c and the copies at 0, unless both slacks are finite and
+    ``c^p > s_i^p + s_j^p`` (relative to the largest of the three), when
+    both ends go to the diagonal.  An infinite slack forces the edge."""
     i, j, c, t, v = found
     keep = (c <= t) & (c < math.inf)
     if not math.isinf(p):  # c^p <= 2 t^p: only t < c <= 2^(1/p) t is open
         k = ((c > t) & (c / 2.0 ** (1.0 / p) <= t)).nonzero()[0]
         keep[k] = (c[k] / t[k]) ** p <= 1.0 + (v[k] / t[k]) ** p
-    ik, jk = i[keep], j[keep]
-    alive = np.isinf(s)
+    ik, jk, c = i[keep], j[keep], c[keep]
+    degree = np.bincount(np.concatenate((ik, jk)), minlength=s.size)
+    lone = (degree[ik] == 1) & (degree[jk] == 1)
+    si, sj, cl = s[ik[lone]], s[jk[lone]], c[lone]
+    ik, jk, c = ik[~lone], jk[~lone], c[~lone]
+    top = np.max((cl, si, sj), axis=0)
+    top[top == 0.0] = 1.0
+    with np.errstate(invalid="ignore"):  # inf / inf is NaN: the edge
+        apart = (cl / top) ** p > (si / top) ** p + (sj / top) ** p
+    free = degree == 0
+    alive = free & np.isinf(s)
     alive[ik] = alive[jk] = True
     rank = alive.cumsum() - 1
     N = int(np.count_nonzero(alive))
@@ -415,8 +433,10 @@ def _pruned(found: tuple, s: np.ndarray, n: int, p: float):
     cells = np.concatenate((ik * N + jk, diag[finite],
                             (na + jk) * N + (N - na) + ik))
     order = cells.argsort()
+    settled = np.concatenate((s[free & ~alive], np.where(apart, si, cl),
+                              np.where(apart, sj, 0.0)))
     return (N, cells[order], np.concatenate(
-        (c[keep], own[finite], np.zeros(ik.size)))[order], s[~alive].tolist())
+        (c, own[finite], np.zeros(ik.size)))[order], settled.tolist())
 
 
 def _parts(N: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -448,54 +468,26 @@ def _parts(N: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return label
 
 
-def _split(N: int, cells: np.ndarray, vals: np.ndarray, p: float):
+def _split(N: int, cells: np.ndarray, vals: np.ndarray):
     """The pruned N×N instance with ``vals`` at the flat ``cells``, cut into
-    the connected parts of its rows and columns: the matched costs at p of
-    its parts of one row and of two rows and four cells, and the instances
-    ``(N, cells, vals)`` of the rest, the parts of fewer than
-    ``_SPARSE_ROWS`` rows packed side by side into blocks of fewer than
-    ``_SPARSE_ROWS`` rows, each larger part alone.  If one large part is
-    all that is left to solve, the instance is solved whole.  A part with
-    more rows than columns, or fewer, has no perfect matching."""
+    the connected parts of its rows and columns: the instances
+    ``(N, cells, vals)`` of its parts of fewer than ``_SPARSE_ROWS`` rows
+    packed side by side into blocks of fewer than ``_SPARSE_ROWS`` rows,
+    and of each larger part alone.  A part with more rows than columns, or
+    fewer, has no perfect matching."""
     rows, cols = np.divmod(cells, N)
     label = _parts(N, rows, cols)
     size = np.bincount(label[:N], minlength=2 * N)  # the rows of each part
     if (size != np.bincount(label[N:], minlength=2 * N)).any():
         raise InfeasibleError("a part has more rows than columns or fewer")
-    part = label[rows]
-    count = np.bincount(part, minlength=2 * N)  # the cells of each part
-    closed = (size < _SPARSE_ROWS) & ((size == 1) | (size == 2) & (count == 4))
-    roots = ((size > 0) & ~closed).nonzero()[0]
-    group = np.full(2 * N, -1)
+    roots = size.nonzero()[0]
+    group = np.empty(2 * N, dtype=np.intp)
     fill = blocks = 0
     for root, k in zip(roots.tolist(), size[roots].tolist()):
         if not blocks or fill + k >= _SPARSE_ROWS:  # a large part fills one
             blocks, fill = blocks + 1, 0
         group[root] = blocks - 1
         fill += k
-    if blocks == 1 and fill >= _SPARSE_ROWS:
-        # cutting the few other rows off would cost more than they take in
-        # the sparse solve: 20 ms at 10,000 RPT peaks
-        return [], [(N, cells, vals)]
-    shut = closed[part]
-    one = shut & (size[part] == 1)
-    four, solve = (shut & ~one).nonzero()[0], (~shut).nonzero()[0]
-    matched = vals[one].tolist()
-    if four.size:
-        # a part of two rows r0 < r1 and four cells lists them in the order
-        # (r0, c0), (r0, c1), (r1, c0), (r1, c1), and matches the first and
-        # the last or the middle two, the better; for a lone kept edge
-        # (i, j) that is the edge and the 0 of the copies, by the prune rule
-        q = vals[four[part[four].argsort(kind="stable")]].reshape(-1, 4)
-        ends, mid = q[:, ::3], q[:, 1:3]
-        if math.isinf(p):
-            matched += np.minimum(ends.max(axis=1), mid.max(axis=1)).tolist()
-        else:
-            top = q.max(axis=1)
-            top[top == 0.0] = 1.0
-            q = (q / top[:, None]) ** p
-            better = q[:, 0] + q[:, 3] <= q[:, 1] + q[:, 2]
-            matched += np.where(better[:, None], ends, mid).ravel().tolist()
     # each node's rank among the nodes of its block, rows first; a block's
     # cells keep their order, so they ascend
     at = group[label]
@@ -503,13 +495,13 @@ def _split(N: int, cells: np.ndarray, vals: np.ndarray, p: float):
     ranked = at[order]
     rank = np.empty_like(order)
     rank[order] = np.arange(2 * N) - ranked.searchsorted(ranked)
-    size = np.bincount(at[:N][at[:N] >= 0], minlength=blocks)
-    g = at[rows[solve]]
-    local = (rank[rows[solve]] - 1) * size[g] + rank[N + cols[solve]]
+    size = np.bincount(at[:N], minlength=blocks)
+    g = at[rows]
+    local = (rank[rows] - 1) * size[g] + rank[N + cols]
     order = g.argsort(kind="stable")
     cut = np.bincount(g, minlength=blocks).cumsum()[:-1]
-    return matched, list(zip(size.tolist(), np.split(local[order], cut),
-                             np.split(vals[solve[order]], cut)))
+    return list(zip(size.tolist(), np.split(local[order], cut),
+                    np.split(vals[order], cut)))
 
 
 def _dense(N: int, cells: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -535,7 +527,7 @@ def _graph(N: int, cells: np.ndarray, data: np.ndarray):
                      shape=(N, N + 1))
 
 
-def _bottleneck(N: int, cells, vals: np.ndarray, sparse: bool):
+def _bottleneck(N: int, cells, vals: np.ndarray):
     """The columns (none if N = 0) and the value of a bottleneck matching
     of the N×N instance with ``vals`` at the flat ``cells``, inf elsewhere.
 
@@ -547,7 +539,7 @@ def _bottleneck(N: int, cells, vals: np.ndarray, sparse: bool):
     a maximum matching of the graph of the cells whose value is <= t."""
     if not N:
         return np.arange(0), 0.0
-    if sparse:
+    if _sparse(N, cells):
         from scipy.sparse.csgraph import maximum_bipartite_matching
         rows, cols = np.divmod(cells, N)
         least = np.full(2 * N, math.inf)  # row minima, then column minima
@@ -604,7 +596,7 @@ def _scaled(N: int, cells, vals: np.ndarray, p: float) -> np.ndarray:
     # if the least positive cost scales to 0, such costs all tie: scale by
     # the bottleneck value (the least cost if that is 0)
     scale = top if (least / top) ** p > 0 else max(
-        _bottleneck(N, cells, vals, _sparse(N, cells))[1], least)
+        _bottleneck(N, cells, vals)[1], least)
     # a cost that overflows here exceeds the bottleneck by more than n^(1/p),
     # so no optimal matching uses it
     with np.errstate(over="ignore"):
@@ -613,13 +605,12 @@ def _scaled(N: int, cells, vals: np.ndarray, p: float) -> np.ndarray:
     return scaled
 
 
-def _matched(N: int, cells, vals: np.ndarray, p: float,
-             sparse: bool) -> list[float]:
+def _matched(N: int, cells, vals: np.ndarray, p: float) -> list[float]:
     """The costs of a minimum-cost perfect matching at finite p of the N×N
     instance with ``vals`` at the flat ``cells``, solved on the scaled
     values, as a dense matrix or as a sparse graph, and read from ``vals``."""
     scaled = _scaled(N, cells, vals, p)
-    if not sparse:
+    if not _sparse(N, cells):
         cols = _sum_solve(_dense(N, cells, scaled))[1]
     else:
         from scipy.sparse.csgraph import min_weight_full_bipartite_matching
@@ -646,7 +637,7 @@ def wasserstein(A: TransformSet, B: TransformSet, p: float = 2.0,
     ``slack="diagonal"`` lets unmatched points pay their distance to the
     nearest zero-persistence representative; ``slack="pad-origin"`` pads the
     smaller multiset with the all-zero point, mirroring the rank matching's
-    padding.  NaN points or slacks, or negative diagonal slack: ValueError.
+    padding.  NaN points or slacks, or a negative slack: ValueError.
 
     Finite p matches on ``(M / top) ** p``, ``top`` the largest finite cost:
     no power overflows into a spurious infinity, and scaling keeps the
@@ -663,7 +654,7 @@ def _blocks(pairs: Sequence[tuple[TransformSet, TransformSet]]):
     block of A's and B's rows, m the larger row count, the smaller set
     padded with all-zero rows.  All blocks come from one ``_sup`` call over
     the two rows of each cell, each block one contiguous slice of the
-    values, row by row.  NaN raises."""
+    values, row by row.  The slacks are checked (``_checked``)."""
     sets = [X for pair in pairs for X in pair]
     pad, m = _padded(_points(*sets)[0], np.array([len(X.array) for X in sets]))
     # cell k of a block is its row k // m and its column k % m
@@ -697,11 +688,7 @@ def _distances(pairs: Sequence[tuple[TransformSet, TransformSet]],
         out = []
         for A, B in pairs:
             a, b = _index(A), _index(B)
-            if a.nan or b.nan:
-                raise ValueError(_NAN)
-            s = np.concatenate((a.s, b.s))
-            if (s < 0).any():
-                raise ValueError("diagonal slack must not be negative")
+            s = _checked(np.concatenate((a.s, b.s)), a.nan or b.nan)
             found = _candidates(a, b)
             out.append([_solve(*_pruned(found, s, a.s.size, p), p)
                         for p in ps])
@@ -712,19 +699,16 @@ def _distances(pairs: Sequence[tuple[TransformSet, TransformSet]],
             "or a cost exceeds the largest double") from None
 
 
-def _solve(N: int, cells, vals: np.ndarray, dropped: list[float],
+def _solve(N: int, cells, vals: np.ndarray, settled: list[float],
            p: float) -> float:
-    """The distance at p of the instance ``(N, cells, vals, dropped)``: a
-    complete block or a pruned instance of fewer than ``_SPARSE_ROWS`` rows
-    is one dense solve, a larger pruned one is solved part by part."""
-    if _sparse(N, cells):
-        matched, parts = _split(N, cells, vals, p)
-    else:
-        matched, parts = [], [(N, cells, vals)]
-    for N, cells, vals in parts:
-        sparse = _sparse(N, cells)
+    """The distance at p of the instance ``(N, cells, vals, settled)``: a
+    pruned one of at least ``_SPARSE_ROWS`` rows is solved part by part,
+    any other whole; each part by a bottleneck search or a matching."""
+    parts = _split(N, cells, vals) if _sparse(N, cells) else [(N, cells, vals)]
+    costs = list(settled)
+    for part in parts:
         if math.isinf(p):
-            matched.append(_bottleneck(N, cells, vals, sparse)[1])
+            costs.append(_bottleneck(*part)[1])
         else:
-            matched += _matched(N, cells, vals, p, sparse)
-    return _aggregate(dropped + matched, p)
+            costs += _matched(*part, p)
+    return _aggregate(costs, p)

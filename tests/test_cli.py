@@ -304,6 +304,31 @@ class TestJSONShape:
         assert (code, out) == (2, "")
         assert err.startswith(f"morsepeak: {path}: JSON of the wrong shape")
 
+    @pytest.mark.parametrize("argv, doc, cell", [
+        (["distance", "{f}", "{ok}", "--kind", "rpt"],
+         '{"features": [["3.0", true]]}', "true"),
+        (["distance", "{ok}", "{f}", "--kind", "rpt"],
+         '{"features": [[3.0, "1"]]}', '"1"'),
+        (["transform", "{f}", "--kind", "pt", "-o", "{out}"],
+         '{"maxima": [[1, "2"]], "minima": [[0, 0], [2, 0]], '
+         '"domain": [0, 2]}', '"2"'),
+        (["transform", "{f}", "--kind", "pt", "-o", "{out}"],
+         '{"maxima": [[1, 2]], "minima": [[0, 0], [2, false]], '
+         '"domain": [0, 2]}', "false"),
+    ])
+    def test_string_or_boolean_cell_exit_2(self, capsys, tmp_path, argv, doc,
+                                           cell):
+        # each used to be read as a number: "3.0" as 3.0, true as 1.0
+        path, out = tmp_path / "cells.json", tmp_path / "out.json"
+        path.write_text(doc)
+        ok = tmp_path / "ok.json"
+        ok.write_text('{"features": [[0.0, 1.0]]}')
+        code, stdout, err = run(capsys, *(a.format(f=path, ok=ok, out=out)
+                                          for a in argv))
+        assert (code, stdout) == (2, "") and not out.exists()
+        assert err == (f"morsepeak: {path}: JSON of the wrong shape "
+                       f"({cell} is not a number)\n")
+
     @pytest.mark.parametrize("argv, prefix", [
         (["transform", "{f}", "--kind", "pt", "-o", "{out}"], ""),
         (["distance", "{f}", "{f}"], ""),
@@ -457,7 +482,8 @@ class TestDistance:
         searches = []
         real = morsepeak.metrics._bottleneck
         monkeypatch.setattr(morsepeak.metrics, "_bottleneck", lambda *a: (
-            searches.append((a[0], a[3])), real(*a))[1])
+            searches.append((a[0], morsepeak.metrics._sparse(*a[:2]))),
+            real(*a))[1])
         for name, walk in walks.items():
             csv = tmp_path / f"{name}.csv"
             np.savetxt(csv, np.column_stack((np.arange(n), walk)),
@@ -535,6 +561,25 @@ class TestDistance:
                   ' "diagonal": []}',
             '{"features": [[5.0, 2.0, 1.0]], "diagonal": []}'),
     }
+
+    @pytest.mark.parametrize("slack", ["diagonal", "pad-origin"])
+    @pytest.mark.parametrize("kind, bad, good", [
+        ("rpt", '{"features": [[0, -2]]}', '{"features": [[0, 1]]}'),
+        ("pt", '{"features": [[0, 1, 3]], "diagonal": []}',
+         '{"features": [[0, 2, 1]], "diagonal": []}'),
+        ("pd", '{"points": [[1, 3]]}', '{"points": [[2, 1]]}'),
+    ], ids=["rpt", "pt", "pd"])
+    def test_negative_slack_exit_2(self, capsys, tmp_path, kind, bad, good,
+                                   slack):
+        # pad-origin used to print 3 for the RPT pair and exit 0
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        fa.write_text(bad)
+        fb.write_text(good)
+        for x, y in ((fa, fb), (fb, fa)):
+            code, out, err = run(capsys, "distance", str(x), str(y),
+                                 "--kind", kind, "--slack", slack)
+            assert (code, out) == (2, "")
+            assert err == "morsepeak: slack must not be negative\n"
 
     @pytest.mark.parametrize("command", ["distance", "stability"])
     def test_unknown_slack_exit_2(self, capsys, e1_csv, command):

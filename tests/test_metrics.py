@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import inspect
 import itertools
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csgraph
 
 import morsepeak
@@ -32,10 +34,10 @@ from morsepeak.metrics import (_candidates, _dense, _index, _points, _pruned,
 from oracles import (brute_force_assignment, brute_force_wasserstein,
                      connected_parts, dense_bottleneck, dense_pruned_matrix,
                      dense_scaled, dense_wasserstein, exhaustive_matching,
-                     morse_distance_direct, per_entry_cost_matrix,
+                     morse_distance_direct, p_norm, per_entry_cost_matrix,
                      points_and_slacks, zero_padded)
 
-INF = math.inf
+INF, NAN = math.inf, math.nan
 
 
 def shifted(ms: MorseSet, dx: float, dy: float) -> MorseSet:
@@ -45,6 +47,13 @@ def shifted(ms: MorseSet, dx: float, dy: float) -> MorseSet:
 
 
 class TestSupDist:
+    def test_nan_raises(self):
+        # _sup skips a NaN difference, as it skips equal infinities
+        for u, v in (((NAN,), (INF,)), ((1.0, NAN), (1.0, 2.0)),
+                     ((0.0,), (NAN,))):
+            with pytest.raises(ValueError, match="NaN"):
+                sup_dist(u, v)
+
     def test_finite(self):
         assert sup_dist((1, 2), (4, 0)) == 3
 
@@ -505,16 +514,22 @@ class TestWasserstein:
                     wasserstein(ok, bad, p, slack)
 
     def test_negative_diagonal_slack_rejected(self):
+        # a negative slack (a negative RPT persistence, a PT or PD birth
+        # below its death) is refused under pad-origin too, which used to
+        # match (1, -2) to the origin at 2 and (3, 1) to (50, 2) at 47
         ok = RPTSet((RPTFeature(50.0, 2.0),))
         negative = RPTSet((RPTFeature(1.0, -2.0), RPTFeature(3.0, 1.0)))
-        for bad in (negative, RPTSet((RPTFeature(1.0, -INF),))):
-            for p in (1, 2, INF):
-                with pytest.raises(ValueError, match="negative"):
-                    wasserstein(bad, ok, p, DIAGONAL)
-        # pad-origin never uses the slack: (1, -2) to the origin at 2,
-        # (3, 1) to (50, 2) at 47
-        assert wasserstein(negative, ok, 2, PAD_ORIGIN) == \
-            pytest.approx(math.hypot(2, 47))
+        pairs = [(negative, ok), (RPTSet((RPTFeature(1.0, -INF),)), ok),
+                 (PTSet((PTFeature(1.0, 1.0, 3.0),), ()),
+                  PTSet((PTFeature(5.0, 2.0, 1.0),), ())),
+                 (PDSet(np.array([[1.0, 3.0]])), PDSet(np.array([[2.0, 1.0]])))]
+        for bad, good in pairs:
+            for slack in (DIAGONAL, PAD_ORIGIN):
+                for p in (1, 2, INF):
+                    for X, Y in ((bad, good), (good, bad)):
+                        with pytest.raises(ValueError,
+                                           match="^slack must not be negative$"):
+                            wasserstein(X, Y, p, slack)
 
 
 GRID_P = (1, 2, 3.5, 60, 1000, INF)
@@ -556,24 +571,68 @@ def outcome(f, *args):
         return type(exc)
 
 
+def lone_edges(raw, n: int):
+    """The lone kept edges (i, j) of the dense prune oracle's matrix ``raw``,
+    whose first n rows are points of the first side: finite cells of its
+    n×m edge block alone in their row and their column of that block, by
+    ascending i."""
+    edges = np.isfinite(raw[:n, :len(raw) - n])
+    i, j = np.nonzero(edges)
+    lone = (edges.sum(axis=1)[i] == 1) & (edges.sum(axis=0)[j] == 1)
+    return i[lone], j[lone]
+
+
 def assert_same_instance(A, B):
     """The library's pruned instance for A and B equals the dense prune
-    oracle's exactly, at every p of GRID_P: its edge list is the oracle
-    matrix's finite cells, each once and ascending, with their values, and
-    scatters into that matrix; the dropped slacks agree; and the scaled
-    values scatter into the oracle's scaled matrix."""
+    oracle's exactly, at every p of GRID_P, once the oracle's lone kept
+    edges are settled: each lone edge (i, j) with its ends' copies, rows i
+    and n + j and columns j and m + i of the oracle's matrix, is whole
+    connected parts of it; the settled costs are the oracle's dropped
+    slacks, in order, then the first and then the second matched cost of
+    each lone edge, in some order of the edges, each pair an optimal
+    matching of its edge's part; and the rest of the oracle's matrix is the
+    instance: its finite cells, each once and ascending, with their values.
+    The scaled values scatter into the oracle's scaled rest."""
     (pa, sa), (pb, sb) = points_and_slacks(A), points_and_slacks(B)
     P, s = _points(A, B)
     found = _candidates(_index(A), _index(B))
     for p in GRID_P:
-        N, cells, vals, dropped = _pruned(found, s, len(pa), p)
+        N, cells, vals, settled = _pruned(found, s, len(pa), p)
         want, want_dropped = dense_pruned_matrix(pa, sa, pb, sb, p)
-        assert np.array_equal(cells, np.flatnonzero(np.isfinite(want)))
-        assert np.array_equal(vals, want.ravel()[cells])
-        assert np.array_equal(_dense(N, cells, vals), want)
-        assert dropped == want_dropped
+        # the oracle keeps rows per point: with the first side doubled it
+        # keeps each of that side's rows twice and the second side's once
+        n = len(dense_pruned_matrix(np.concatenate((pa, pa)), sa + sa, pb,
+                                    sb, p)[0]) - len(want)
+        m = len(want) - n
+        i, j = lone_edges(want, n)
+        rows, cols = np.concatenate((i, n + j)), np.concatenate((j, m + i))
+        finite = np.flatnonzero(np.isfinite(want))
+        for part_rows, part_cols in connected_parts(len(want), finite):
+            inside = [*np.isin(part_rows, rows), *np.isin(part_cols, cols)]
+            assert all(inside) or not any(inside)
+        # the settled costs
+        d, k = len(want_dropped), i.size
+        assert len(settled) == d + 2 * k
+        assert settled[:d] == want_dropped
+        cost = max if math.isinf(p) else functools.partial(p_norm, p=p)
+        pairs = list(zip(settled[d:d + k], settled[d + k:]))
+        wrong = np.ones((k, k))  # 0 where pair a is an optimum of edge e
+        for e in range(k):
+            (c, si), (sj, zero) = want[np.ix_((i[e], n + j[e]),
+                                              (j[e], m + i[e]))].tolist()
+            best = min(cost((c, zero)), cost((si, sj)))
+            for a, pair in enumerate(pairs):
+                if pair in ((c, zero), (si, sj)) and \
+                        cost(pair) == pytest.approx(best, rel=1e-12):
+                    wrong[a, e] = 0.0
+        assert not wrong[linear_sum_assignment(wrong)].any()
+        # the rest, renumbered
+        rest = np.delete(np.delete(want, rows, axis=0), cols, axis=1)
+        assert np.array_equal(cells, np.flatnonzero(np.isfinite(rest)))
+        assert np.array_equal(vals, rest.ravel()[cells])
+        assert np.array_equal(_dense(N, cells, vals), rest)
         if not math.isinf(p):
-            scaled = outcome(dense_scaled, want, p)
+            scaled = outcome(dense_scaled, rest, p)
             got = outcome(_scaled, N, cells, vals, p)
             if isinstance(scaled, type):
                 assert got is scaled
@@ -683,22 +742,15 @@ class TestPrunedMatching:
             for p in (1, 2, INF):
                 assert wasserstein(A, B, p, DIAGONAL) == \
                     pytest.approx(dense_wasserstein(A, B, p), rel=1e-9)
-        # PT W2 is solved as dense matrices of fewer cells than a quarter
-        # of the unpruned bordered matrix's: its pruned instance has fewer
-        # than _SPARSE_ROWS rows, so it is one dense block already
-        cells = []
-        dense, graph = metrics._dense, metrics._graph
-        monkeypatch.setattr(metrics, "_dense", lambda N, c, vals: (
-            cells.append(N * N), dense(N, c, vals))[1])
-        wasserstein(pa, pb, 2, DIAGONAL)
-        n = len(pa.features) + len(pb.features)
-        assert cells and sum(cells) < n * n / 4
         # on either path: the cells of each dense matrix and the edges of
-        # each sparse graph solved, for every kind; PT and RPT are solved
-        # in dense blocks alone at this size, RPT one block per few
-        # connected parts of its pruned instance, while a PD part of 197
+        # each sparse graph solved, for every kind.  The prune settles the
+        # whole PT instance at this size, its lone kept edges included, so
+        # no PT matrix has a cell; RPT is solved in dense blocks alone, one
+        # per few connected parts of what is left, while a PD part of 197
         # rows goes sparse
+        n = len(pa.features) + len(pb.features)
         solved, graphs = [], []
+        dense, graph = metrics._dense, metrics._graph
         monkeypatch.setattr(metrics, "_dense", lambda N, cells, vals: (
             solved.append(N * N), dense(N, cells, vals))[1])
         monkeypatch.setattr(metrics, "_graph", lambda N, cells, data: (
@@ -708,9 +760,11 @@ class TestPrunedMatching:
                 solved.clear()
                 graphs.clear()
                 wasserstein(A, B, p, DIAGONAL)
-                assert solved and sum(solved + graphs) < n * n / 4, (A, p)
-                assert max(solved) < metrics._SPARSE_ROWS ** 2, (A, p)
+                assert sum(solved + graphs) < n * n / 4, (A, p)
+                assert max(solved, default=0) < metrics._SPARSE_ROWS ** 2, \
+                    (A, p)
                 assert bool(graphs) == isinstance(A, PDSet), (A, p)
+                assert (sum(solved) == 0) == isinstance(A, PTSet), (A, p)
 
     @pytest.mark.parametrize("kind, p", [(0, 2), (0, INF), (1, 2), (1, INF)],
                              ids=["2", "inf", "rpt-2", "rpt-inf"])
@@ -943,12 +997,9 @@ def assert_split_exact(A, B):
     the pruned instance of A and B is exact: its parts are the connected
     parts of the breadth-first oracle; each instance it returns is whole
     parts, taken in order of their least row, with fewer rows than the
-    split size or one part alone, or else the pruned instance itself; those
-    instances mapped back, plus the cells of the parts of one row and of
-    two rows and four cells that it solves itself, are exactly the pruned
-    cells and values, with one matched cost per row of those parts (one per
-    part at p = inf); and the distance through it equals the dense
-    oracle's, or both find no finite matching."""
+    split size or one part alone; those instances mapped back are exactly
+    the pruned cells and values; and the distance through it equals the
+    dense oracle's, or both find no finite matching."""
     P, s = _points(A, B)
     n = len(A.array)
     found = _candidates(_index(A), _index(B))
@@ -970,22 +1021,15 @@ def assert_split_exact(A, B):
                 got = outcome(wasserstein, A, B, p, DIAGONAL)
                 if any(len(r) != len(c) for r, c in parts):
                     with pytest.raises(InfeasibleError):
-                        metrics._split(N, cells, vals, p)
+                        metrics._split(N, cells, vals)
                     assert got is want is UnmatchableInfinityError
                     continue
-                matched, blocks = metrics._split(N, cells, vals, p)
+                blocks = metrics._split(N, cells, vals)
             if isinstance(want, float):
                 assert got == pytest.approx(want, rel=1e-9, abs=0.0)
             else:
                 assert got is want
-            if len(blocks) == 1 and blocks[0][0] == N >= split:
-                assert matched == [] and np.array_equal(blocks[0][1], cells)
-                continue
-            closed = [r for r, _ in parts if r and len(r) < split and (
-                len(r) == 1 or len(r) == 2 and np.isin(rows_of, r).sum() == 4)]
-            assert len(matched) == (len(closed) if math.isinf(p)
-                                    else sum(map(len, closed)))
-            solved = iter((r, c) for r, c in parts if r and r not in closed)
+            solved = iter(parts)
             mapped, kept = [], []
             for k, local, v in blocks:
                 rows, cols, taken = [], [], 0
@@ -998,19 +1042,16 @@ def assert_split_exact(A, B):
                 mapped.append(R[local // k] * N + C[local % k])
                 kept.append(v)
             assert next(solved, None) is None
-            shut = np.isin(rows_of, sum(closed, []))
-            back = np.concatenate(mapped + [cells[shut]])
+            back = np.concatenate(mapped)
             order = back.argsort()
             assert np.array_equal(back[order], cells)
-            assert np.array_equal(np.concatenate(kept + [vals[shut]])[order],
-                                  vals)
+            assert np.array_equal(np.concatenate(kept)[order], vals)
 
 
 class TestSplit:
     """A pruned instance of at least ``_SPARSE_ROWS`` rows is solved one
-    connected part at a time: parts of one row and of two rows and four
-    cells in closed form, smaller ones packed into dense blocks, larger
-    ones sparse."""
+    connected part at a time: smaller parts packed into dense blocks,
+    larger ones sparse."""
 
     @given(grid_pts(), grid_pts())
     def test_parts_match_the_pruned_instance(self, pa, pb):
@@ -1023,20 +1064,18 @@ class TestSplit:
         assert_split_exact(A, B)
         assert_split_exact(B, A)
 
-    def test_lone_edge_at_a_prune_tie(self, monkeypatch):
+    def test_lone_edge_at_a_prune_tie(self):
         # c = 3 = s_i + s_j: each edge is kept at p = 1 only, and both
-        # matchings of its part cost 3
-        A = RPTSet(np.array([[0.0, 1.0], [100.0, 1.0]]))
-        B = RPTSet(np.array([[3.0, 2.0], [103.0, 2.0]]))
-        monkeypatch.setattr(metrics, "_SPARSE_ROWS", 3)
+        # matchings of its part cost 3; the prune settles both lone edges,
+        # whatever the instance's size, so nothing is left to split
+        A, B = SETTLE_CASES["prune tie"]
         P, s = _points(A, B)
         found = _candidates(_index(A), _index(B))
-        N, cells, vals, dropped = _pruned(found, s, 2, 1.0)
-        matched, blocks = metrics._split(N, cells, vals, 1.0)
-        assert (N, dropped, blocks) == (4, [], [])
-        assert sorted(matched) in ([0.0, 0.0, 3.0, 3.0], [0.0, 1.0, 2.0, 3.0],
+        N, cells, vals, settled = _pruned(found, s, 2, 1.0)
+        assert (N, cells.size, vals.size) == (0, 0, 0)
+        assert sorted(settled) in ([0.0, 0.0, 3.0, 3.0], [0.0, 1.0, 2.0, 3.0],
                                    [1.0, 1.0, 2.0, 2.0])
-        assert sum(matched) == 6.0
+        assert sum(settled) == 6.0
         assert wasserstein(A, B, 1, DIAGONAL) == 6.0 == \
             dense_wasserstein(A, B, 1)
 
@@ -1064,7 +1103,7 @@ class TestSplit:
         seen = []
         for name in ("_matched", "_bottleneck"):
             def spy(N, cells, vals, *rest, _real=getattr(metrics, name)):
-                seen.append((N, rest[-1]))
+                seen.append((N, metrics._sparse(N, cells)))
                 return _real(N, cells, vals, *rest)
             monkeypatch.setattr(metrics, name, spy)
         for p in (2, INF):
@@ -1107,13 +1146,14 @@ class TestSplit:
         _, s = _points(A, B)
         N, cells, vals, dropped = _pruned(_candidates(_index(A), _index(B)),
                                           s, 110, 2.0)
-        matched, blocks = metrics._split(N, cells, vals, 2.0)
-        assert (N, dropped, matched) == (220, [], [])
+        blocks = metrics._split(N, cells, vals)
+        assert (N, dropped) == (220, [])
         assert [k for k, *_ in blocks] == [110, 110]
         for block in blocks:
+            assert metrics._sparse(*block[:2])
             with pytest.raises(InfeasibleError,
                                match="no full matching exists"):
-                metrics._matched(*block, 2.0, True)
+                metrics._matched(*block, 2.0)
         raised = []
         real = csgraph.min_weight_full_bipartite_matching
 
@@ -1131,6 +1171,77 @@ class TestSplit:
                                    match=re.escape(UNMATCHABLE)):
                     wasserstein(X, Y, p, DIAGONAL)
                 assert raised == [True]
+
+
+SETTLE_CASES = {
+    # the prune keeps the edge at p = 2, relative to t = 7.5, and the settle
+    # sends both ends to the diagonal, relative to the largest, c: the two
+    # matchings' costs differ by rounding only; at p = 1 the edge
+    "both slacks finite": (RPTSet(np.array([[0.0, 7.5]])),
+                           RPTSet(np.array([[7.730823048033114, 1.875]]))),
+    # see TestSplit.test_lone_edge_at_a_prune_tie
+    "prune tie": (RPTSet(np.array([[0.0, 1.0], [100.0, 1.0]])),
+                  RPTSet(np.array([[3.0, 2.0], [103.0, 2.0]]))),
+    # the essential peaks' pair: inf / inf in the comparison
+    "both slacks infinite": (RPTSet(np.array([[0.0, INF]])),
+                             RPTSet(np.array([[1.0, INF]]))),
+    "both slacks infinite, PT": (PTSet(np.array([[0.0, 5.0, -INF]]), ()),
+                                 PTSet(np.array([[1.0, 5.5, -INF]]), ())),
+    # three lone edges, the essentials' one of them, and a dropped point
+    "every edge lone": (RPTSet(np.array([[0.0, 1.0], [10.0, 2.0],
+                                         [20.0, INF]])),
+                        RPTSet(np.array([[0.5, 1.0], [10.5, 2.5],
+                                         [21.0, INF], [40.0, 0.5]]))),
+}
+
+
+class TestSettle:
+    """The prune settles each lone kept edge, one whose ends have no other
+    kept edge, in any instance: the edge, or both ends to the diagonal."""
+
+    @pytest.mark.parametrize("case", SETTLE_CASES)
+    def test_matches_dense_oracle(self, case):
+        A, B = SETTLE_CASES[case]
+        for X, Y in ((A, B), (B, A)):
+            _, s = _points(X, Y)
+            found = _candidates(_index(X), _index(Y))
+            for p in (1, 2, 3, INF):
+                # nothing is left to solve
+                assert _pruned(found, s, len(X.array), p)[0] == 0
+                assert wasserstein(X, Y, p, DIAGONAL) == pytest.approx(
+                    dense_wasserstein(X, Y, p), rel=1e-12, abs=0.0)
+
+    def test_both_sides_of_the_comparison(self):
+        A, B = SETTLE_CASES["both slacks finite"]
+        c = B.array[0, 0]
+        for X, Y in ((A, B), (B, A)):
+            _, s = _points(X, Y)
+            found = _candidates(_index(X), _index(Y))
+            assert _pruned(found, s, 1, 1.0)[3] == [c, 0.0]
+            assert sorted(_pruned(found, s, 1, 2.0)[3]) == [1.875, 7.5]
+
+    @pytest.mark.parametrize("slacks", [(INF, 0.5), (0.5, INF)])
+    def test_an_infinite_slack_forces_the_edge(self, slacks):
+        # an edge of finite cost joins points of matching infinities, so of
+        # infinite slack both, or neither: the candidate edge is given
+        # here, points (0, 0) and (1, 0) at cost 1
+        s = np.array(slacks)
+        found = (np.array([0]), np.array([1]), np.array([1.0]),
+                 np.array([INF]), np.array([0.5]))
+        for p in (1, 2, 3, INF):
+            instance = _pruned(found, s, 1, p)
+            assert instance[0] == 0 and instance[3] == [1.0, 0.0]
+            assert metrics._solve(*instance, p) == 1.0 == \
+                brute_force_wasserstein([(0.0, 0.0)], [(1.0, 0.0)],
+                                        [slacks[0]], [slacks[1]], p)
+
+    def test_solve_leaves_the_settled_costs(self):
+        # _blocks hands each pair one list for all its ps
+        settled = [1.0]
+        for p in (1, 2, INF):
+            metrics._solve(2, np.array([0, 3]), np.array([1.0, 2.0]),
+                           settled, p)
+        assert settled == [1.0]
 
 
 class TestIndex:
@@ -1332,13 +1443,18 @@ class TestInstanceShape:
 
     def test_signatures(self):
         # an instance is built for one p; the scaling's fallback search needs
-        # only the cells; an empty search returns an empty index array
+        # only the cells; the split needs no p, and each solve reads its path
+        # off the instance; an empty search returns an empty index array
         assert not inspect.isgeneratorfunction(_pruned)
         assert list(inspect.signature(_pruned).parameters) == [
             "found", "s", "n", "p"]
-        assert list(inspect.signature(_scaled).parameters) == [
-            "N", "cells", "vals", "p"]
-        cols, level = metrics._bottleneck(0, np.arange(0), np.empty(0), False)
+        for f in (_scaled, metrics._matched):
+            assert list(inspect.signature(f).parameters) == [
+                "N", "cells", "vals", "p"]
+        for f in (metrics._split, metrics._bottleneck):
+            assert list(inspect.signature(f).parameters) == [
+                "N", "cells", "vals"]
+        cols, level = metrics._bottleneck(0, np.arange(0), np.empty(0))
         assert isinstance(cols, np.ndarray) and not cols.size and level == 0.0
 
 
